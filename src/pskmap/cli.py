@@ -34,10 +34,11 @@ EXIT_NOT_PSK = 4
 
 
 def _env_seed() -> int:
+    raw = os.environ.get("PSK_SEED", "0")
     try:
-        return int(os.environ.get("PSK_SEED", "0"))
+        return int(raw)
     except ValueError:
-        return 0
+        raise ParseError(f"PSK_SEED must be an integer, got {raw!r}") from None
 
 
 def _emit(report: Report, stream=None) -> None:
@@ -245,9 +246,9 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return EXIT_PARSE if exc.code not in (0, None) else 0
-    if getattr(args, "seed", None) is None and hasattr(args, "seed"):
-        args.seed = _env_seed()
     try:
+        if getattr(args, "seed", None) is None and hasattr(args, "seed"):
+            args.seed = _env_seed()
         return args.fn(args)
     except ParseError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -5,6 +5,11 @@ increasing k-tuples of basis indices (1-based) to float coefficients.
 All values are immutable after construction and every operation returns
 a fresh object, so unrestricted concurrent use is safe.
 
+DenseExterior is the numeric kernel beside it: a degree-k form is a float
+array over all_keys(m, k), a matrix of forms is an array with the key axis
+last, and wedge products contract with (k, l) sign tables.  The solver
+compiles its residual on it; the Form evaluators stay the reference.
+
 Basis ordering convention: indices 1..n are the a-forms, n+1..2n the
 b-forms; when a cone is attached, 2n+1 and 2n+2 are the two extra
 generators.  This makes block extraction a plain index slice.
@@ -14,6 +19,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations
+from math import comb
+
+import numpy as np
 
 PRUNE_EPS = 1e-14
 
@@ -340,3 +348,69 @@ def coframe_labels(n: int, cone: bool = False) -> list:
 def all_keys(m: int, degree: int):
     """All strictly increasing index tuples, in lexicographic order."""
     return list(combinations(range(1, m + 1), degree))
+
+
+class DenseExterior:
+    """Dense exterior algebra over m generators.
+
+    A degree-k form is a float array of length comb(m, k) over
+    all_keys(m, k); a matrix of forms is an array with the key axis last.
+    The (k, l) sign tables are built on first use and belong to the
+    instance, so their lifetime is the caller's.
+    """
+
+    def __init__(self, m: int):
+        self.m = m
+        self._index: dict = {}
+        self._tables: dict = {}
+
+    def _key_index(self, degree: int) -> dict:
+        index = self._index.get(degree)
+        if index is None:
+            index = {key: r for r, key in enumerate(all_keys(self.m, degree))}
+            self._index[degree] = index
+        return index
+
+    def dense(self, x: Form) -> np.ndarray:
+        if x.m != self.m:
+            raise ValueError("mismatched basis dimension")
+        out = np.zeros(comb(self.m, x.degree))
+        index = self._key_index(x.degree)
+        for key, val in x.coeffs.items():
+            out[index[key]] = val
+        return out
+
+    def dense_matrix(self, X: FormMatrix) -> np.ndarray:
+        """(rows, cols, comb(m, degree)) array of a matrix of forms."""
+        return np.array([[self.dense(f) for f in row] for row in X.entries])
+
+    def table(self, k: int, l: int) -> np.ndarray:
+        """sign[a, b, c]: coefficient of key c in key_a ^ key_b (0, +1 or -1)."""
+        table = self._tables.get((k, l))
+        if table is None:
+            out_index = self._key_index(k + l)
+            left, right = all_keys(self.m, k), all_keys(self.m, l)
+            table = np.zeros((len(left), len(right), len(out_index)))
+            for a, ka in enumerate(left):
+                for b, kb in enumerate(right):
+                    sign, key = sort_with_sign(ka + kb)
+                    if sign:
+                        table[a, b, out_index[key]] = sign
+            self._tables[(k, l)] = table
+        return table
+
+    def wedge(self, x: np.ndarray, y: np.ndarray, k: int, l: int) -> np.ndarray:
+        """Degree-k x ^ degree-l y, entrywise over broadcast leading axes."""
+        return np.einsum("...a,...b,abc->...c", x, y, self.table(k, l), optimize=True)
+
+    def wedge_matrix(self, X: np.ndarray, Y: np.ndarray, k: int, l: int) -> np.ndarray:
+        """Matrix product with the wedge, X (..., r, s, *) by Y (..., s, c, *),
+        over broadcast leading axes."""
+        return np.einsum("...rsa,...scb,abo->...rco", X, Y, self.table(k, l),
+                         optimize=True)
+
+    def pair_wedge_matrix(self, X: np.ndarray, Y: np.ndarray, k: int, l: int) -> np.ndarray:
+        """All pairwise matrix wedges of two stacks: out[r, c, o, u, v] is
+        entry (r, c), key o of X[u] ^ Y[v]."""
+        return np.einsum("ursa,vscb,abo->rcouv", X, Y, self.table(k, l),
+                         optimize=True)

@@ -101,7 +101,10 @@ def validate_lie_algebra(L: LieAlgebra) -> None:
         raise ValueError(f"Jacobi residual {res:.3e} exceeds bound {bound:.3e}")
 
 
+# d-tables by algebra, oldest first; a scan builds one algebra per parameter
+# value, so entries past the cap are evicted in insertion order.
 _D_TABLE_CACHE: dict = {}
+_D_TABLE_CACHE_MAX = 32
 
 
 def _d_table(L: LieAlgebra):
@@ -115,6 +118,8 @@ def _d_table(L: LieAlgebra):
             d[(i, j)] = d.get((i, j), 0.0) - c
         table = tuple(Form(L.dim, 2, d) for d in coeffs)
         _D_TABLE_CACHE[key] = table
+        while len(_D_TABLE_CACHE) > _D_TABLE_CACHE_MAX:
+            del _D_TABLE_CACHE[next(iter(_D_TABLE_CACHE))]
     return table
 
 

@@ -4,7 +4,11 @@ The unknowns are the two symmetric-tensor coefficient blocks of q plus
 the free coefficients of kappa along the closed one-forms.  Every
 residual entry is a polynomial of degree <= 2 in the unknowns, so the
 whole stacked system is compiled once into (constant, linear, quadratic)
-numpy data; evaluation and the exact Jacobian are then three einsums.
+numpy data (r0, A, Q).  The compile reads these blocks off the bilinear
+structure of the equations on the dense exterior-algebra kernel of
+forms.py; residual_vector, which evaluates the equations through Form
+objects, is the reference it is tested against.  Evaluation and the exact
+Jacobian then take one BLAS matrix-vector product with Q.
 
 When the invariant Kahler form has no invariant primitive the
 kappa-dependent equations cannot be posed; geometries built with
@@ -17,12 +21,15 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from itertools import product
+from math import comb
 
 import numpy as np
 
-from .connection import ConnectionData, CurvatureData, curvature, levi_civita
-from .forms import Form, all_keys, kahler_form
+from .connection import ConnectionData, CurvatureData, ch_model, curvature, levi_civita
+from .forms import DenseExterior, Form, all_keys, kahler_form
 from .intrinsic import (
+    KAPPA_TERM_SIGN,
     PSKCandidate,
     SymTensor3,
     dpq_matrices,
@@ -33,7 +40,7 @@ from .intrinsic import (
     tpq_matrix,
     wpq_matrix,
 )
-from .lie import AdaptedBasis, LieAlgebra, NotExactError, solve_primitive
+from .lie import AdaptedBasis, LieAlgebra, NotExactError, _d1_matrix, solve_primitive
 
 
 @dataclass(frozen=True)
@@ -165,38 +172,101 @@ def residual_vector(cand_or_x, geom: Geometry) -> np.ndarray:
     return np.concatenate(stacked)
 
 
+def _q_basis(n: int) -> np.ndarray:
+    """q_u for every tensor unknown u, as a (2t, n, n, 2n) one-form array:
+    u < t is the Sa entry on triple u, u >= t the Sb entry on triple u - t."""
+    index = {tr: u for u, tr in enumerate(sym_triples(n))}
+    t = len(index)
+    qs = np.zeros((2 * t, n, n, 2 * n))
+    for i, j, k in product(range(n), repeat=3):
+        u = index[tuple(sorted((i + 1, j + 1, k + 1)))]
+        qs[u, i, j, k] = 1.0
+        qs[t + u, i, j, n + k] = 1.0
+    return qs
+
+
 class CompiledResidual:
-    """r(x) = r0 + A x + <Q, x ox x> with symmetric Q; exact by degree-2-ness."""
+    """r(x) = r0 + A x + x.Q.x with Q symmetric in its last two axes.
+
+    Built from the structure of the equations rather than by sampling
+    them: q and p = J q are linear in the 2t tensor unknowns through the
+    basis arrays q_u and p_u, and kappa is affine in the kernel
+    coefficients, so every block of (r0, A, Q) is a wedge of fixed data
+    with q_u, p_u or each other on the dense kernel of forms.py.  The row
+    order is that of residual_vector.  Evaluation is one matrix-vector
+    product with Q viewed as (R*d, d): with Qx = Q x, r = r0 + (A + Qx) x
+    and the Jacobian is A + 2 Qx.
+    """
 
     def __init__(self, geom: Geometry):
-        d = geom.n_unknowns
-        r0 = residual_vector(np.zeros(d), geom)
-        R = len(r0)
-        A = np.zeros((R, d))
-        Q = np.zeros((R, d, d))
-        plus, minus = [], []
-        for i in range(d):
-            e = np.zeros(d)
-            e[i] = 1.0
-            plus.append(residual_vector(e, geom))
-            minus.append(residual_vector(-e, geom))
-            A[:, i] = 0.5 * (plus[i] - minus[i])
-            Q[:, i, i] = 0.5 * (plus[i] + minus[i]) - r0
-        for i in range(d):
-            for j in range(i + 1, d):
-                e = np.zeros(d)
-                e[i] = e[j] = 1.0
-                rij = residual_vector(e, geom)
-                cross = 0.5 * (rij - plus[i] - plus[j] + r0)
-                Q[:, i, j] = cross
-                Q[:, j, i] = cross
+        n, m, t = geom.n, geom.L.dim, geom.n_tensor
+        T, d = 2 * t, geom.n_unknowns
+        ext = DenseExterior(m)
+        qs = _q_basis(n)
+        ps = np.concatenate([-qs[..., n:], qs[..., :n]], axis=-1)
+        c2 = comb(m, 2)
+        block = n * n * c2
+        second = n * n * comb(m, 2 if geom.exact else 3)
+        R = 2 * block + 2 * second
+        r0, A, Q = np.zeros(R), np.zeros((R, d)), np.zeros((R, d, d))
+
+        # Curvature pair: M + p^p + q^q = M_CH and Lam + p^q - q^p = Lam_CH.
+        model = ch_model(n)
+        r0[:block] = ext.dense_matrix(geom.curv.M - model.M).ravel()
+        r0[block:2 * block] = ext.dense_matrix(geom.curv.Lam - model.Lam).ravel()
+
+        def write_symmetrised(start, X1, Y1, X2, Y2, sign):
+            prod = (ext.pair_wedge_matrix(X1, Y1, 1, 1)
+                    + sign * ext.pair_wedge_matrix(X2, Y2, 1, 1)).reshape(c2, T, T)
+            Q[start:start + c2, :T, :T] = 0.5 * (prod + prod.transpose(0, 2, 1))
+
+        # One matrix entry at a time keeps the temporaries small.
+        for i, j in product(range(n), repeat=2):
+            p_i, q_i = ps[:, i:i + 1], qs[:, i:i + 1]
+            p_j, q_j = ps[:, :, j:j + 1], qs[:, :, j:j + 1]
+            entry = (i * n + j) * c2
+            write_symmetrised(entry, p_i, p_j, q_i, q_j, 1.0)
+            write_symmetrised(block + entry, p_i, q_j, q_i, p_j, -1.0)
+
+        # Second pair, linear in (p, q); the q-equation is the p-equation
+        # with (p, q) -> (q, -p).
+        rows = [slice(2 * block, 2 * block + second), slice(2 * block + second, R)]
+        if geom.exact:
+            D = _d1_matrix(geom.L)
+            mu, lam = ext.dense_matrix(geom.conn.mu), ext.dense_matrix(geom.conn.lam)
+            kappa0 = ext.dense(geom.kappa0)
+            ks = np.array([ext.dense(f) for f in geom.kernel]).reshape(-1, 1, 1, 1, m)
+            wm = lambda X, Y: ext.wedge_matrix(X, Y, 1, 1)
+            for rs, (p_, q_) in zip(rows, ((ps, qs), (qs, -ps))):
+                # dp + mu^p + p^mu + lam^q - q^lam + 4 kappa^q
+                lin = (p_ @ D.T + wm(mu, p_) + wm(p_, mu) + wm(lam, q_) - wm(q_, lam)
+                       + 4.0 * KAPPA_TERM_SIGN * ext.wedge(kappa0, q_, 1, 1))
+                A[rs, :T] = lin.reshape(T, -1).T
+                # 4 kappa_l ^ q_u, split evenly between Q[:, u, l] and Q[:, l, u]
+                cross = (2.0 * KAPPA_TERM_SIGN * ext.wedge(ks, q_, 1, 1)).reshape(
+                    len(geom.kernel), T, second)
+                Q[rs, :T, T:] = cross.transpose(2, 1, 0)
+                Q[rs, T:, :T] = cross.transpose(2, 0, 1)
+        else:
+            M, Lam = ext.dense_matrix(geom.curv.M), ext.dense_matrix(geom.curv.Lam)
+            omega = ext.dense(kahler_form(n))
+            for rs, (p_, q_) in zip(rows, ((ps, qs), (qs, -ps))):
+                # M^p - p^M + Lam^q + q^Lam + 4 omega^q
+                lin = (ext.wedge_matrix(M, p_, 2, 1) - ext.wedge_matrix(p_, M, 1, 2)
+                       + ext.wedge_matrix(Lam, q_, 2, 1) + ext.wedge_matrix(q_, Lam, 1, 2)
+                       + 4.0 * ext.wedge(omega, q_, 2, 1))
+                A[rs, :T] = lin.reshape(T, -1).T
         self.r0, self.A, self.Q = r0, A, Q
 
+    def _Qx(self, x: np.ndarray) -> np.ndarray:
+        R, d, _ = self.Q.shape
+        return (self.Q.reshape(R * d, d) @ x).reshape(R, d)
+
     def __call__(self, x: np.ndarray) -> np.ndarray:
-        return self.r0 + self.A @ x + np.einsum("rij,i,j->r", self.Q, x, x)
+        return self.r0 + (self.A + self._Qx(x)) @ x
 
     def jacobian(self, x: np.ndarray) -> np.ndarray:
-        return self.A + 2.0 * np.einsum("rij,j->ri", self.Q, x)
+        return self.A + 2.0 * self._Qx(x)
 
 
 def compiled(geom: Geometry) -> CompiledResidual:

@@ -103,6 +103,15 @@ class TestCLI:
         out = json.loads(capsys.readouterr().out)
         assert out["seed"] == 7
 
+    def test_env_seed_not_integer(self, capsys, monkeypatch):
+        monkeypatch.setenv("PSK_SEED", "abc")
+        code = main(["solve", fixture("ch1_c2.json"), "--starts", "4"])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert "PSK_SEED" in captured.err and "Traceback" not in captured.err
+        assert main(["solve", fixture("ch1_c2.json"), "--starts", "4", "--seed", "3"]) == 0
+
     def test_scan_table(self, tmp_path, capsys):
         table = tmp_path / "scan.txt"
         code = main([

@@ -3,11 +3,16 @@ import math
 import numpy as np
 import pytest
 
+from pskmap import lie, solver
 from pskmap.catalog import (
+    _unitary_conjugation,
     ch1,
     ch1_cubed,
     ch1_cubed_candidate,
     ch1_flat_candidate,
+    ch1_product,
+    complex_hyperbolic,
+    conjugate_algebra,
     flat_plus_ch1,
     four_dim_candidate,
     four_dim_example,
@@ -23,6 +28,25 @@ from pskmap.solver import (
     scan_curvature,
     solve,
 )
+
+
+def _rotated_ch1_squared():
+    L, B = ch1_product([1.5, 2.5])
+    return conjugate_algebra(L, _unitary_conjugation(2, np.random.default_rng(11))), B
+
+
+# Geometries the compiled residual is checked on: exact ones of every n up
+# to 4, a dense (rotated) frame, and the kappa-free stack.
+GEOMETRIES = {
+    "four_dim": lambda: build_geometry(*four_dim_example()),
+    "ch1_model": lambda: build_geometry(*complex_hyperbolic(1)),
+    "ch2_model": lambda: build_geometry(*complex_hyperbolic(2)),
+    "ch3_model": lambda: build_geometry(*complex_hyperbolic(3)),
+    "ch4_model": lambda: build_geometry(*complex_hyperbolic(4)),
+    "ch1_cubed": lambda: build_geometry(*ch1_cubed(2.0)),
+    "rotated_ch1_squared": lambda: build_geometry(*_rotated_ch1_squared()),
+    "flat_plus_ch1": lambda: build_geometry(*flat_plus_ch1(2.0), allow_nonexact=True),
+}
 
 
 class TestConfig:
@@ -54,13 +78,28 @@ class TestResidualVector:
         r = residual_vector(ch1_flat_candidate(1.0), geom)
         assert np.abs(r).max() == pytest.approx(3.0)
 
-    def test_compiled_matches_direct(self, rng):
-        L, B = four_dim_example()
-        geom = build_geometry(L, B)
+    @pytest.mark.parametrize("name", GEOMETRIES)
+    def test_compiled_matches_direct(self, rng, name):
+        geom = GEOMETRIES[name]()
         fun = compiled(geom)
         for _ in range(10):
             x = rng.standard_normal(geom.n_unknowns)
             assert np.abs(fun(x) - residual_vector(x, geom)).max() < 1e-12
+
+    @pytest.mark.parametrize("name", GEOMETRIES)
+    def test_quadratic_term_symmetric(self, name):
+        Q = compiled(GEOMETRIES[name]()).Q
+        assert np.array_equal(Q, Q.transpose(0, 2, 1))
+
+    @pytest.mark.parametrize("name", ["four_dim", "flat_plus_ch1"])
+    def test_compile_never_evaluates_residual_vector(self, monkeypatch, name):
+        def refuse(*args, **kwargs):
+            raise AssertionError("compile evaluated residual_vector")
+
+        geom = GEOMETRIES[name]()
+        monkeypatch.setattr(solver, "residual_vector", refuse)
+        fun = compiled(geom)
+        assert fun.Q.shape == (len(fun.r0), geom.n_unknowns, geom.n_unknowns)
 
     def test_not_exact_propagates(self):
         L, B = flat_plus_ch1(2.0)
@@ -71,9 +110,9 @@ class TestResidualVector:
 
 
 class TestJacobian:
-    def test_matches_finite_differences(self, rng):
-        L, B = four_dim_example()
-        geom = build_geometry(L, B)
+    @pytest.mark.parametrize("name", GEOMETRIES)
+    def test_matches_finite_differences(self, rng, name):
+        geom = GEOMETRIES[name]()
         fun = compiled(geom)
         h = 1e-6
         count = 0
@@ -213,6 +252,14 @@ class TestScan:
         residuals = {round(p.parameter, 2): p.best_residual for p in result.points}
         assert residuals[2.0] < 1e-8
         assert residuals[3.0] > 1e-2
+
+    def test_d_table_cache_bounded(self):
+        cap = lie._D_TABLE_CACHE_MAX
+        values = [1.0 + 0.01 * i for i in range(cap + 8)]
+        scan_curvature(lambda c: ch1(c), 0, 0, 0, SolveConfig(starts=1, max_iters=5),
+                       values=values, polish=False)
+        assert len(lie._D_TABLE_CACHE) <= cap
+        assert (2, ch1(values[-1])[0].brackets) in lie._D_TABLE_CACHE
 
     def test_explicit_values(self):
         cfg = SolveConfig(starts=8, seed=5)
