@@ -12,7 +12,15 @@ import os
 import sys
 
 from .cmap import NotPSKError, qk_algebra, qk_verify
-from .cone import DSquaredError, cone_coframe, cone_lc, eta_from_pq, special_blocks, verify_eta_conditions
+from .cone import (
+    DSquaredError,
+    cone_coframe,
+    cone_lc,
+    curvature_of,
+    eta_from_pq,
+    special_blocks,
+    verify_eta_conditions,
+)
 from .connection import NotKahlerError, curvature, kahler_check, levi_civita
 from .intrinsic import all_residuals, pq_from_tensors
 from .io import (
@@ -134,6 +142,12 @@ def cmd_scan(args) -> int:
 
 
 def cmd_cone_verify(args) -> int:
+    """Cone-level verdict: the six special conditions and the flatness blocks.
+
+    omega_LC, eta, omega_nabla and its curvature Omega are built once; the
+    conditions (whose flatness entry is the norm of Omega) and the blocks
+    T, U, V, W share that one Omega.
+    """
     af = load_algebra_file(args.path)
     if af.candidate is None:
         raise ParseError("cone-verify requires a 'candidate' block in the file")
@@ -144,10 +158,11 @@ def cmd_cone_verify(args) -> int:
         _emit(Report("cone-verify", "Precondition", {"error": str(exc)}))
         return EXIT_PRECONDITION
     p, q = pq_from_tensors(af.candidate.Sa, af.candidate.Sb)
-    omega_lc = cone_lc(CA, conn)
     eta = eta_from_pq(CA, p, q)
-    report = verify_eta_conditions(CA, eta, omega_lc + eta.matrix)
-    T, U, V, W = special_blocks(CA, conn, p, q)
+    omega_nabla = cone_lc(CA, conn) + eta.matrix
+    Om = curvature_of(CA, omega_nabla)
+    report = verify_eta_conditions(CA, eta, omega_nabla, curvature=Om)
+    T, U, V, W = special_blocks(CA, conn, p, q, eta=eta, curvature=Om)
     report["blocks_T"] = T.norm_inf()
     report["blocks_U"] = U.norm_inf()
     report["blocks_V"] = V.norm_inf()

@@ -20,6 +20,7 @@ posteriori.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -28,6 +29,7 @@ from .cone import (
     ConeAlgebra,
     TL_ONE,
     TrigLaurent,
+    _i_matrix,
     apply_derivation,
     cone_coframe,
     cone_lc,
@@ -65,17 +67,6 @@ class NonConstantError(Exception):
     """A twisted differential kept t/tau dependence in the invariant frame."""
 
 
-def _i_matrix_full(n: int) -> np.ndarray:
-    m = 2 * n + 2
-    i_mat = np.zeros((m, m))
-    for i in range(n):
-        i_mat[i, n + i] = 1.0
-        i_mat[n + i, i] = -1.0
-    i_mat[2 * n, 2 * n + 1] = 1.0
-    i_mat[2 * n + 1, 2 * n] = -1.0
-    return i_mat
-
-
 @dataclass(frozen=True)
 class TwistFrame:
     """Cone generators plus the parallel cotangent coframe Delta.
@@ -103,13 +94,13 @@ class TwistFrame:
     def delta_index(self, k: int) -> int:
         return 2 * self.n + 2 + k
 
-    def dtau_one_form(self) -> CForm:
-        phi = CForm.basis(self.m, self.idx_phi)
-        return phi - CForm.from_form(self.CA.kappa, self.m, 2.0)
+    @cached_property
+    def dtau(self) -> CForm:
+        """The cone's d(tau) = phi - 2 kappa~, on the extended generators."""
+        return CForm(self.m, 1, self.CA.dtau.coeffs)
 
     def d(self, x: CForm) -> CForm:
-        return apply_derivation(x, self.d_rules, self.dtau_one_form(),
-                                self.idx_psi, True)
+        return apply_derivation(x, self.d_rules, self.dtau, self.idx_psi, True)
 
     def interior_x(self, x: CForm) -> CForm:
         return x.interior({self.idx_phi: TL_ONE})
@@ -138,13 +129,15 @@ class TwistFrame:
 
 def twist_differential(TF: TwistFrame, beta: CForm, tol: float = 1e-9) -> CForm:
     """d_Q(beta) = d(beta) + (2/t^2) F ^ (X . beta) for X-invariant beta."""
-    res = TF.lie_x(beta).norm_inf()
+    d_beta = TF.d(beta)
+    x_beta = TF.interior_x(beta)
+    res = (TF.interior_x(d_beta) + TF.d(x_beta)).norm_inf()   # L_X beta
     if res > tol * (1.0 + beta.norm_inf()):
         raise NotInvariantError(f"Lie derivative along X has norm {res:.3e}")
     correction = TF.curvature_correction().scale(
         TrigLaurent.t_power(-2, 2.0)
-    ).wedge(TF.interior_x(beta))
-    return TF.d(beta) + correction
+    ).wedge(x_beta)
+    return d_beta + correction
 
 
 def build_twist_frame(L: LieAlgebra, B: AdaptedBasis, cand: PSKCandidate,
@@ -183,7 +176,7 @@ def build_twist_frame(L: LieAlgebra, B: AdaptedBasis, cand: PSKCandidate,
 def _exp_entries(n: int, sign: float):
     """Matrix exponential exp(sign * i * tau) as TrigLaurent entries."""
     m = 2 * n + 2
-    i_mat = _i_matrix_full(n)
+    i_mat = _i_matrix(n)
     cos, sin = TrigLaurent.cos_tau(), TrigLaurent.sin_tau()
     E = [[TrigLaurent() for _ in range(m)] for _ in range(m)]
     for r in range(m):
@@ -267,6 +260,16 @@ class HKForms:
     F: CForm
 
 
+def _frame_two_forms(TF: TwistFrame) -> tuple:
+    """The six mixed frame two-forms sum_i x_i ^ y_i, i = 1..n:
+    aTb, ATB, ATa, BTb, ATb, BTa (a, b base; A, B fiber Delta_i, Delta_{n+i})."""
+    n, m, di = TF.n, TF.m, TF.delta_index
+    frame = [(i, n + i, di(i), di(n + i)) for i in range(1, n + 1)]   # a, b, A, B
+    pairs = ((0, 1), (2, 3), (2, 0), (3, 1), (2, 1), (3, 0))
+    return tuple(sum((CForm.basis(m, row[x], row[y]) for row in frame), CForm.zero(m, 2))
+                 for x, y in pairs)
+
+
 def hk_forms(TF: TwistFrame) -> HKForms:
     """Transcription of the hyperKahler metric, its Kahler triple, the
     deformed metric g_N and the twist curvature F over the extended frame."""
@@ -288,19 +291,7 @@ def hk_forms(TF: TwistFrame) -> HKForms:
         g_H[di(k)] = TrigLaurent.const(sign)
         g_N[di(k)] = two_over_t2
 
-    aTb = CForm.zero(m, 2)
-    ATB = CForm.zero(m, 2)
-    ATa = CForm.zero(m, 2)
-    BTb = CForm.zero(m, 2)
-    ATb = CForm.zero(m, 2)
-    BTa = CForm.zero(m, 2)
-    for i in range(1, n + 1):
-        aTb = aTb + CForm.basis(m, i, n + i)
-        ATB = ATB + CForm.basis(m, di(i), di(n + i))
-        ATa = ATa + CForm.basis(m, di(i), i)
-        BTb = BTb + CForm.basis(m, di(n + i), n + i)
-        ATb = ATb + CForm.basis(m, di(i), n + i)
-        BTa = BTa + CForm.basis(m, di(n + i), i)
+    aTb, ATB, ATa, BTb, ATb, BTa = _frame_two_forms(TF)
     t = TrigLaurent.t_power(1)
     phi_psi = CForm.basis(m, TF.idx_phi, TF.idx_psi).scale(t)
     Phi_Psi = CForm.basis(m, di(2 * n + 1), di(2 * n + 2))
@@ -331,19 +322,7 @@ def verify_hyperkahler_frame(TF: TwistFrame) -> dict:
     di = TF.delta_index
     t = TrigLaurent.t_power(1)
     t2 = TrigLaurent.t_power(2)
-    aTb = CForm.zero(m, 2)
-    ATB = CForm.zero(m, 2)
-    ATa = CForm.zero(m, 2)
-    BTb = CForm.zero(m, 2)
-    ATb = CForm.zero(m, 2)
-    BTa = CForm.zero(m, 2)
-    for i in range(1, n + 1):
-        aTb = aTb + CForm.basis(m, i, n + i)
-        ATB = ATB + CForm.basis(m, di(i), di(n + i))
-        ATa = ATa + CForm.basis(m, di(i), i)
-        BTb = BTb + CForm.basis(m, di(n + i), n + i)
-        ATb = ATb + CForm.basis(m, di(i), n + i)
-        BTa = BTa + CForm.basis(m, di(n + i), i)
+    aTb, ATB, ATa, BTb, ATb, BTa = _frame_two_forms(TF)
     phi_psi = CForm.basis(m, TF.idx_phi, TF.idx_psi)
     Phi_phi = CForm.basis(m, di(2 * n + 1), TF.idx_phi)
     Psi_psi = CForm.basis(m, di(2 * n + 2), TF.idx_psi)
@@ -465,19 +444,7 @@ def _output_triple(TF: TwistFrame, sub: dict, scale: float):
     # g_N-compatible versions: flip the sign of every negative-signature
     # plane and rescale by 2/t^2 (metric factor), written via hatted blocks.
     di = TF.delta_index
-    aTb = CForm.zero(m, 2)
-    ATB = CForm.zero(m, 2)
-    ATa = CForm.zero(m, 2)
-    BTb = CForm.zero(m, 2)
-    ATb = CForm.zero(m, 2)
-    BTa = CForm.zero(m, 2)
-    for i in range(1, n + 1):
-        aTb = aTb + CForm.basis(m, i, n + i)
-        ATB = ATB + CForm.basis(m, di(i), di(n + i))
-        ATa = ATa + CForm.basis(m, di(i), i)
-        BTb = BTb + CForm.basis(m, di(n + i), n + i)
-        ATb = ATb + CForm.basis(m, di(i), n + i)
-        BTa = BTa + CForm.basis(m, di(n + i), i)
+    aTb, ATB, ATa, BTb, ATb, BTa = _frame_two_forms(TF)
     phi = CForm.basis(m, TF.idx_phi)
     psi = CForm.basis(m, TF.idx_psi)
     Phi = CForm.basis(m, di(2 * n + 1))

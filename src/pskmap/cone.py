@@ -13,12 +13,21 @@ Kahler form, and d(kappa) = omega_S all at once.  The flatness blocks of
 the special connection are then computed honestly from
 Omega = d(omega) + omega ^ omega and compared with their displayed
 formulas.
+
+Canonical form.  A TrigLaurent keeps its terms keyed by (k, a, b) with
+b in {0, 1} (sin^2 rewritten as 1 - cos^2) and drops every coefficient
+with |c| <= PRUNE; a CForm keeps only sorted keys with non-zero
+coefficients.  The public constructors establish this; the ring, form and
+derivation operations preserve it and wrap their results with the trusted
+constructors TrigLaurent._canonical and CForm._of, which do not re-check.
+Nothing mutates a value after it is built, so results may share them.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -41,8 +50,15 @@ class DSquaredError(Exception):
 
 class TrigLaurent:
     """Finite sums r * t^k * cos^a(tau) * sin^b(tau), with b reduced to 0 or 1
-    via sin^2 = 1 - cos^2.  Canonical form makes the zero test a plain
-    coefficient check."""
+    via sin^2 = 1 - cos^2.
+
+    Canonical form: ``terms`` maps (k, a, b) with a >= 0 and b in {0, 1} to
+    a coefficient with |coefficient| > PRUNE.  The zero test is then a plain
+    coefficient check.  The public constructor reduces and prunes whatever it
+    is given; every ring and calculus operation keeps the invariant itself
+    and builds its result with ``_canonical``, which trusts its input.
+    Values are never mutated after construction.
+    """
 
     __slots__ = ("terms",)
 
@@ -52,6 +68,13 @@ class TrigLaurent:
             _accumulate(self.terms, k, a, b, coeff)
 
     # -- constructors --------------------------------------------------
+
+    @classmethod
+    def _canonical(cls, terms: dict) -> "TrigLaurent":
+        """Wrap a dict that is already in canonical form, without checking it."""
+        out = object.__new__(cls)
+        out.terms = terms
+        return out
 
     @classmethod
     def const(cls, value: float) -> "TrigLaurent":
@@ -82,34 +105,73 @@ class TrigLaurent:
     def __add__(self, other: "TrigLaurent") -> "TrigLaurent":
         out = dict(self.terms)
         for key, val in other.terms.items():
-            out[key] = out.get(key, 0.0) + val
-        return TrigLaurent(out)
+            new = out.get(key, 0.0) + val
+            if abs(new) <= PRUNE:
+                out.pop(key, None)
+            else:
+                out[key] = new
+        return _canonical(out)
 
     def __sub__(self, other: "TrigLaurent") -> "TrigLaurent":
         return self + (-other)
 
     def __neg__(self) -> "TrigLaurent":
-        return TrigLaurent({k: -v for k, v in self.terms.items()})
+        return _canonical({k: -v for k, v in self.terms.items()})
+
+    def _scaled(self, factor) -> "TrigLaurent":
+        out = {}
+        for key, val in self.terms.items():
+            prod = val * factor
+            if abs(prod) > PRUNE:
+                out[key] = prod
+        return _canonical(out)
 
     def __mul__(self, other):
         if isinstance(other, (int, float)):
-            return TrigLaurent({k: v * other for k, v in self.terms.items()})
+            return self._scaled(other)
+        left, right = self.terms, other.terms
+        # A constant factor only rescales the other one's coefficients.
+        if len(right) == 1 and _CONST_KEY in right:
+            return self._scaled(right[_CONST_KEY])
+        if len(left) == 1 and _CONST_KEY in left:
+            return other._scaled(left[_CONST_KEY])
         out: dict = {}
-        for (k1, a1, b1), c1 in self.terms.items():
-            for (k2, a2, b2), c2 in other.terms.items():
-                _accumulate(out, k1 + k2, a1 + a2, b1 + b2, c1 * c2)
-        return TrigLaurent(out)
+        get, pop = out.get, out.pop
+        for (k1, a1, b1), c1 in left.items():
+            for (k2, a2, b2), c2 in right.items():
+                coeff = c1 * c2
+                if abs(coeff) <= PRUNE:
+                    continue
+                k, a = k1 + k2, a1 + a2
+                if b1 and b2:
+                    # sin^2 = 1 - cos^2
+                    key = (k, a, 0)
+                    new = get(key, 0.0) + coeff
+                    if abs(new) <= PRUNE:
+                        pop(key, None)
+                    else:
+                        out[key] = new
+                    key, coeff = (k, a + 2, 0), -coeff
+                else:
+                    key = (k, a, b1 + b2)
+                new = get(key, 0.0) + coeff
+                if abs(new) <= PRUNE:
+                    pop(key, None)
+                else:
+                    out[key] = new
+        return _canonical(out)
 
     __rmul__ = __mul__
 
     # -- calculus -------------------------------------------------------
 
     def dt(self) -> "TrigLaurent":
-        out: dict = {}
+        # distinct keys stay distinct, so only pruning is needed
+        out = {}
         for (k, a, b), c in self.terms.items():
-            if k != 0:
-                _accumulate(out, k - 1, a, b, k * c)
-        return TrigLaurent(out)
+            if k != 0 and abs(prod := k * c) > PRUNE:
+                out[(k - 1, a, b)] = prod
+        return _canonical(out)
 
     def dtau(self) -> "TrigLaurent":
         out: dict = {}
@@ -118,7 +180,7 @@ class TrigLaurent:
                 _accumulate(out, k, a - 1, b + 1, -a * c)
             if b:
                 _accumulate(out, k, a + 1, b - 1, b * c)
-        return TrigLaurent(out)
+        return _canonical(out)
 
     # -- queries ----------------------------------------------------------
 
@@ -160,6 +222,10 @@ class TrigLaurent:
         return "TL(" + " + ".join(bits) + ")"
 
 
+_CONST_KEY = (0, 0, 0)
+_canonical = TrigLaurent._canonical
+
+
 def _accumulate(store: dict, k: int, a: int, b: int, coeff: float) -> None:
     """Add coeff * t^k c^a s^b, rewriting sin powers >= 2 via sin^2 = 1 - cos^2."""
     if abs(coeff) <= PRUNE:
@@ -187,7 +253,12 @@ TL_ONE = TrigLaurent.const(1.0)
 
 
 class CForm:
-    """Homogeneous form over generator indices 1..m with TrigLaurent coefficients."""
+    """Homogeneous form over generator indices 1..m with TrigLaurent coefficients.
+
+    ``coeffs`` maps sorted index tuples to non-zero TrigLaurent values.  The
+    public constructor enforces that; operations build their results with
+    ``_of``, which trusts it.
+    """
 
     __slots__ = ("m", "degree", "coeffs")
 
@@ -202,8 +273,17 @@ class CForm:
                 self.coeffs[tuple(key)] = val
 
     @classmethod
+    def _of(cls, m: int, degree: int, coeffs: dict) -> "CForm":
+        """Wrap a dict of sorted keys to non-zero TrigLaurent values, unchecked."""
+        out = object.__new__(cls)
+        out.m = m
+        out.degree = degree
+        out.coeffs = coeffs
+        return out
+
+    @classmethod
     def zero(cls, m: int, degree: int) -> "CForm":
-        return cls(m, degree)
+        return cls._of(m, degree, {})
 
     @classmethod
     def basis(cls, m: int, *indices: int) -> "CForm":
@@ -223,33 +303,30 @@ class CForm:
         if self.m != other.m or self.degree != other.degree:
             raise ValueError("incompatible forms")
         out = dict(self.coeffs)
-        for key, val in other.coeffs.items():
-            out[key] = out[key] + val if key in out else val
-        return CForm(self.m, self.degree, out)
+        _merge(out, other.coeffs)
+        return CForm._of(self.m, self.degree, out)
 
     def __sub__(self, other: "CForm") -> "CForm":
         return self + (-other)
 
     def __neg__(self) -> "CForm":
-        return CForm(self.m, self.degree, {k: -v for k, v in self.coeffs.items()})
+        return CForm._of(self.m, self.degree, {k: -v for k, v in self.coeffs.items()})
 
     def scale(self, factor) -> "CForm":
         if not isinstance(factor, TrigLaurent):
             factor = TrigLaurent.const(factor)
-        return CForm(self.m, self.degree, {k: factor * v for k, v in self.coeffs.items()})
+        out = {}
+        for key, val in self.coeffs.items():
+            prod = factor * val
+            if prod.terms:
+                out[key] = prod
+        return CForm._of(self.m, self.degree, out)
 
     def wedge(self, other: "CForm") -> "CForm":
         if self.m != other.m:
             raise ValueError("mismatched generator count")
-        out: dict = {}
-        for k1, c1 in self.coeffs.items():
-            for k2, c2 in other.coeffs.items():
-                sign, key = sort_with_sign(k1 + k2)
-                if sign == 0:
-                    continue
-                term = c1 * c2 * float(sign)
-                out[key] = out[key] + term if key in out else term
-        return CForm(self.m, self.degree + other.degree, out)
+        return CForm._of(self.m, self.degree + other.degree,
+                         _wedge_coeffs(self.coeffs, other.coeffs))
 
     def interior(self, pairing: dict) -> "CForm":
         """Contraction with a vector given by its pairings {index: TrigLaurent}."""
@@ -260,20 +337,21 @@ class CForm:
                     sub = key[:pos] + key[pos + 1:]
                     term = val * pairing[idx] * (-1.0 if pos % 2 else 1.0)
                     out[sub] = out[sub] + term if sub in out else term
-        return CForm(self.m, max(self.degree - 1, 0), out)
+        return CForm._of(self.m, max(self.degree - 1, 0),
+                         {k: v for k, v in out.items() if v.terms})
 
     def substitute(self, mapping: dict) -> "CForm":
         """Replace generators by degree-1 images (identity where unmapped)."""
-        out = CForm.zero(self.m, self.degree)
+        out: dict = {}
         for key, val in self.coeffs.items():
-            piece = CForm(self.m, 0, {(): val})
+            piece = {(): val}
             for idx in key:
                 image = mapping.get(idx)
                 if image is None:
                     image = CForm.basis(self.m, idx)
-                piece = piece.wedge(image)
-            out = out + piece
-        return out
+                piece = _wedge_coeffs(piece, image.coeffs)
+            _merge(out, piece)
+        return CForm._of(self.m, self.degree, out)
 
     def eval_at(self, t: float, tau: float) -> Form:
         return Form(self.m, self.degree,
@@ -291,6 +369,36 @@ class CForm:
 
     def __repr__(self) -> str:
         return f"CForm(m={self.m}, deg={self.degree}, {len(self.coeffs)} terms)"
+
+
+def _wedge_coeffs(left: dict, right: dict) -> dict:
+    """Coefficients of the wedge of two CForms, given by their coefficient dicts."""
+    out: dict = {}
+    for k1, c1 in left.items():
+        for k2, c2 in right.items():
+            sign, key = sort_with_sign(k1 + k2)
+            if sign == 0:
+                continue
+            term = c1 * c2
+            if sign < 0:
+                term = -term
+            out[key] = out[key] + term if key in out else term
+    return {k: v for k, v in out.items() if v.terms}
+
+
+def _add_term(store: dict, key: tuple, val: TrigLaurent) -> None:
+    """Add a non-zero coefficient into store in place, dropping it if it cancels."""
+    if key in store:
+        val = store[key] + val
+        if not val.terms:
+            del store[key]
+            return
+    store[key] = val
+
+
+def _merge(store: dict, coeffs: dict) -> None:
+    for key, val in coeffs.items():
+        _add_term(store, key, val)
 
 
 class CFormMatrix:
@@ -342,14 +450,18 @@ class CFormMatrix:
     def wedge(self, other: "CFormMatrix") -> "CFormMatrix":
         if self.cols != other.rows:
             raise ValueError("shape mismatch")
+        if self.m != other.m:
+            raise ValueError("mismatched generator count")
+        m, degree = self.m, self.degree + other.degree
         out = []
         for i in range(self.rows):
             row = []
             for j in range(other.cols):
-                acc = CForm.zero(self.m, self.degree + other.degree)
+                acc: dict = {}
                 for k in range(self.cols):
-                    acc = acc + self[i, k].wedge(other[k, j])
-                row.append(acc)
+                    _merge(acc, _wedge_coeffs(self.entries[i][k].coeffs,
+                                              other.entries[k][j].coeffs))
+                row.append(CForm._of(m, degree, acc))
             out.append(row)
         return CFormMatrix(out)
 
@@ -371,26 +483,39 @@ def apply_derivation(x: CForm, d_rules, dtau: CForm, idx_psi: int,
 
     Generator differentials come from d_rules; coefficient functions are
     differentiated with d(t) = psi and d(tau) = the supplied one-form.
+    The terms go into one dict in a fixed order (per monomial of x: dt,
+    then dtau, then each generator's rule), which fixes the rounding of the
+    sums.
     """
     m = x.m
-    psi = CForm.basis(m, idx_psi)
-    out = CForm.zero(m, x.degree + 1)
+    out: dict = {}
     for key, coeff in x.coeffs.items():
-        mono = CForm(m, len(key), {key: TL_ONE})
         ct = coeff.dt()
         if ct.terms:
-            out = out + psi.scale(ct).wedge(mono)
+            sign, k2 = sort_with_sign((idx_psi,) + key)
+            if sign:
+                _add_term(out, k2, ct if sign > 0 else -ct)
         ctau = coeff.dtau()
         if ctau.terms:
             if not exact:
                 raise DSquaredError("tau-dependent coefficients need a valid kappa")
-            out = out + dtau.scale(ctau).wedge(mono)
+            for dkey, dval in dtau.coeffs.items():
+                sign, k2 = sort_with_sign(dkey + key)
+                if sign:
+                    term = ctau * dval
+                    if term.terms:
+                        _add_term(out, k2, term if sign > 0 else -term)
+        # d(g_1 ^ ... ^ g_r) = sum_pos (-1)^pos g_1 ^ .. d(g_pos) .. ^ g_r
         for pos, idx in enumerate(key):
-            head = CForm(m, pos, {key[:pos]: TL_ONE})
-            tail = CForm(m, len(key) - pos - 1, {key[pos + 1:]: TL_ONE})
-            sign = -1.0 if pos % 2 else 1.0
-            out = out + head.wedge(d_rules[idx - 1]).wedge(tail).scale(sign * coeff)
-    return out
+            head, tail = key[:pos], key[pos + 1:]
+            parity = -1 if pos % 2 else 1
+            for rkey, rval in d_rules[idx - 1].coeffs.items():
+                sign, k2 = sort_with_sign(head + rkey + tail)
+                if sign:
+                    term = coeff * rval
+                    if term.terms:
+                        _add_term(out, k2, term if sign * parity > 0 else -term)
+    return CForm._of(m, x.degree + 1, out)
 
 
 @dataclass(frozen=True)
@@ -419,16 +544,20 @@ class ConeAlgebra:
     def idx_psi(self) -> int:
         return 2 * self.B.n + 2
 
-    def dtau_one_form(self) -> CForm:
-        """d(tau) = phi - 2 kappa~, used to differentiate trig coefficients."""
+    @cached_property
+    def dtau(self) -> CForm:
+        """d(tau) = phi - 2 kappa~, used to differentiate trig coefficients;
+        built on first use and kept with the algebra."""
         phi = CForm.basis(self.m, self.idx_phi)
         if self.kappa is None:
             return phi
         return phi - CForm.from_form(self.kappa, self.m, 2.0)
 
+    def dtau_one_form(self) -> CForm:
+        return self.dtau
+
     def d(self, x: CForm) -> CForm:
-        return apply_derivation(x, self.d_rules, self.dtau_one_form(),
-                                self.idx_psi, self.exact)
+        return apply_derivation(x, self.d_rules, self.dtau, self.idx_psi, self.exact)
 
     # -- contractions with the cone symmetry ---------------------------
 
@@ -524,27 +653,19 @@ def _g_matrix(n: int) -> np.ndarray:
 
 def scalar_matmul(S, A: CFormMatrix, side: str = "left") -> CFormMatrix:
     """Multiply a CForm matrix by a float matrix on the given side."""
+    rows, cols = (S.shape[0], A.cols) if side == "left" else (A.rows, S.shape[1])
+    inner = A.rows if side == "left" else A.cols
     out = []
-    if side == "left":
-        for i in range(S.shape[0]):
-            row = []
-            for j in range(A.cols):
-                acc = CForm.zero(A.m, A.degree)
-                for k in range(A.rows):
-                    if S[i, k]:
-                        acc = acc + A[k, j].scale(float(S[i, k]))
-                row.append(acc)
-            out.append(row)
-    else:
-        for i in range(A.rows):
-            row = []
-            for j in range(S.shape[1]):
-                acc = CForm.zero(A.m, A.degree)
-                for k in range(A.cols):
-                    if S[k, j]:
-                        acc = acc + A[i, k].scale(float(S[k, j]))
-                row.append(acc)
-            out.append(row)
+    for i in range(rows):
+        row = []
+        for j in range(cols):
+            acc: dict = {}
+            for k in range(inner):
+                s, f = (S[i, k], A[k, j]) if side == "left" else (S[k, j], A[i, k])
+                if s:
+                    _merge(acc, f.scale(float(s)).coeffs)
+            row.append(CForm._of(A.m, A.degree, acc))
+        out.append(row)
     return CFormMatrix(out)
 
 
@@ -635,9 +756,13 @@ def curvature_of(CA: ConeAlgebra, omega: CFormMatrix) -> CFormMatrix:
     return omega.map(CA.d) + omega.wedge(omega)
 
 
-def verify_eta_conditions(CA: ConeAlgebra, eta: EtaForm,
-                          omega_nabla: CFormMatrix) -> dict:
-    """Residuals of the six special conditions for omega_nabla = omega_LC + eta."""
+def verify_eta_conditions(CA: ConeAlgebra, eta: EtaForm, omega_nabla: CFormMatrix,
+                          curvature: CFormMatrix | None = None) -> dict:
+    """Residuals of the six special conditions for omega_nabla = omega_LC + eta.
+
+    ``curvature`` is curvature_of(CA, omega_nabla) when the caller already
+    has it; it is computed here otherwise.
+    """
     n = CA.n
     m = CA.m
     theta = CFormMatrix([[f] for f in CA.hatted_coframe()])
@@ -655,13 +780,15 @@ def verify_eta_conditions(CA: ConeAlgebra, eta: EtaForm,
                                  - scalar_matmul(G, em, "left")).norm_inf(),
         "conic_x": em.map(CA.interior_x).norm_inf(),
         "conic_jx": em.map(CA.interior_jx).norm_inf(),
-        "flatness": curvature_of(CA, omega_nabla).norm_inf(),
+        "flatness": (curvature if curvature is not None
+                     else curvature_of(CA, omega_nabla)).norm_inf(),
     }
     return report
 
 
 def special_blocks(CA: ConeAlgebra, C: ConnectionData, p, q,
-                   kappa: Form | None = None, match_tol: float = 1e-9):
+                   kappa: Form | None = None, match_tol: float = 1e-9, *,
+                   eta: EtaForm | None = None, curvature: CFormMatrix | None = None):
     """Flatness blocks (T, U, V, W) of the special connection.
 
     Computed honestly from Omega = d(omega_nabla) + omega_nabla^2 and
@@ -669,14 +796,21 @@ def special_blocks(CA: ConeAlgebra, C: ConnectionData, p, q,
     the curvature blocks, as dimensional analysis requires).  Passing an
     explicit kappa overrides the cone's own, without re-verifying
     d*d = 0 -- that is precisely how a wrong kappa shows up as U, V != 0.
+
+    A caller that already built eta_from_pq(CA, p, q) and its curvature
+    Omega on CA passes them as ``eta`` and ``curvature``; both are then
+    used as given, and omega_LC is not rebuilt.
     """
     if kappa is not None and kappa is not CA.kappa:
+        if curvature is not None:
+            raise ValueError("a precomputed curvature belongs to the cone's own kappa")
         CA = ConeAlgebra(L=CA.L, B=CA.B, kappa=kappa, d_rules=CA.d_rules, exact=True)
     n = CA.n
-    omega_lc = cone_lc(CA, C)
-    eta = eta_from_pq(CA, p, q)
-    omega_nabla = omega_lc + eta.matrix
-    Om = curvature_of(CA, omega_nabla)
+    if eta is None:
+        eta = eta_from_pq(CA, p, q)
+    Om = curvature
+    if Om is None:
+        Om = curvature_of(CA, cone_lc(CA, C) + eta.matrix)
 
     def block(r0, c0):
         return CFormMatrix([[Om[r0 + i, c0 + j] for j in range(n)] for i in range(n)])

@@ -14,11 +14,16 @@ Schema:
 
 For parameter scans a bracket constant may be the string "c", "-c" or
 "<float>*c"; such files describe a one-parameter family.
+
+Every number must be a finite JSON number (not a bool or a string) of
+magnitude at most MAX_MAGNITUDE, and every index an integer; anything else
+is a ParseError.
 """
 
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 
 from .forms import Form
@@ -26,6 +31,12 @@ from .intrinsic import PSKCandidate, SymTensor3
 from .lie import AdaptedBasis, LieAlgebra
 
 SCHEMA_VERSION = 1
+
+# Largest accepted |value| of a bracket constant, tensor entry, kappa entry or
+# template multiplier.  The tolerance scales square these values (and the
+# output of the twist squares products of them), so 1e50 keeps every such
+# expression far from float overflow.
+MAX_MAGNITUDE = 1e50
 
 
 class ParseError(Exception):
@@ -45,61 +56,79 @@ def _check(cond: bool, msg: str) -> None:
         raise ParseError(msg)
 
 
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _number(value, what: str) -> float:
+    """A finite float of magnitude at most MAX_MAGNITUDE, or a ParseError."""
+    _check(isinstance(value, (int, float)) and not isinstance(value, bool),
+           f"{what} must be a number, got {value!r}")
+    try:
+        x = float(value)
+    except OverflowError:
+        x = math.inf
+    _check(math.isfinite(x) and abs(x) <= MAX_MAGNITUDE,
+           f"{what} {value!r} is not finite or exceeds {MAX_MAGNITUDE:g} in magnitude")
+    return x
+
+
+def _rows(obj: dict, name: str, width: int, shape: str) -> list:
+    rows = obj.get(name, [])
+    _check(isinstance(rows, (list, tuple)), f"'{name}' must be a list, got {rows!r}")
+    for row in rows:
+        _check(isinstance(row, (list, tuple)) and len(row) == width,
+               f"{name} row {row!r} must be {shape}")
+    return rows
+
+
 def parse_algebra(obj: dict, allow_parameter: bool = False) -> AlgebraFile:
     _check(isinstance(obj, dict), "top level must be an object")
     _check("n" in obj, "missing field 'n'")
     n = obj["n"]
-    _check(isinstance(n, int) and n >= 1, "'n' must be a positive integer")
+    _check(_is_int(n) and n >= 1, "'n' must be a positive integer")
     dim = 2 * n
     entries = []
-    for row in obj.get("brackets", []):
-        _check(isinstance(row, (list, tuple)) and len(row) == 4,
-               f"bracket row {row!r} must be [i, j, k, c]")
+    for row in _rows(obj, "brackets", 4, "[i, j, k, c]"):
         i, j, k, c = row
-        _check(all(isinstance(x, int) for x in (i, j, k)),
+        _check(all(_is_int(x) for x in (i, j, k)),
                f"bracket indices must be integers in {row!r}")
         _check(1 <= i < j <= dim and 1 <= k <= dim,
                f"bracket indices out of range in {row!r}")
         if isinstance(c, str):
             _check(allow_parameter, f"parametric constant {c!r} in a non-template file")
             continue
-        _check(isinstance(c, (int, float)), f"bad bracket constant {c!r}")
-        entries.append((i, j, k, float(c)))
+        entries.append((i, j, k, _number(c, "bracket constant")))
     L = LieAlgebra.from_brackets(dim, entries)
     B = AdaptedBasis(n)
     cand = None
     if obj.get("candidate") is not None:
         cand = _parse_candidate(obj["candidate"], n)
-    labels = list(obj.get("labels", []))
-    return AlgebraFile(L=L, B=B, candidate=cand, labels=labels)
+    labels = obj.get("labels", [])
+    _check(isinstance(labels, list) and all(isinstance(x, str) for x in labels),
+           f"'labels' must be a list of strings, got {labels!r}")
+    return AlgebraFile(L=L, B=B, candidate=cand, labels=list(labels))
 
 
 def _parse_candidate(obj: dict, n: int) -> PSKCandidate:
     _check(isinstance(obj, dict), "'candidate' must be an object")
 
     def tensor(name: str) -> SymTensor3:
-        rows = obj.get(name, [])
         triples = []
-        for row in rows:
-            _check(isinstance(row, (list, tuple)) and len(row) == 4,
-                   f"{name} row {row!r} must be [i, j, k, value]")
+        for row in _rows(obj, name, 4, "[i, j, k, value]"):
             i, j, k, v = row
-            _check(all(isinstance(x, int) for x in (i, j, k)),
+            _check(all(_is_int(x) for x in (i, j, k)),
                    f"{name} indices must be integers")
             _check(1 <= i <= j <= k <= n,
                    f"{name} triple {row!r} must be sorted and within 1..{n}")
-            triples.append((i, j, k, float(v)))
+            triples.append((i, j, k, _number(v, f"{name} value")))
         return SymTensor3.from_triples(n, triples)
 
-    kappa_rows = obj.get("kappa", [])
     coeffs = {}
-    for row in kappa_rows:
-        _check(isinstance(row, (list, tuple)) and len(row) == 2,
-               f"kappa row {row!r} must be [index, value]")
-        idx, v = row
-        _check(isinstance(idx, int) and 1 <= idx <= 2 * n,
+    for idx, v in _rows(obj, "kappa", 2, "[index, value]"):
+        _check(_is_int(idx) and 1 <= idx <= 2 * n,
                f"kappa index {idx!r} out of range")
-        coeffs[(idx,)] = float(v)
+        coeffs[(idx,)] = _number(v, "kappa value")
     return PSKCandidate(tensor("Sa"), tensor("Sb"), Form(2 * n, 1, coeffs))
 
 
@@ -134,9 +163,10 @@ def _parse_multiplier(token: str) -> float:
     if head == "-":
         return -1.0
     try:
-        return float(head)
+        value = float(head)
     except ValueError:
         raise ParseError(f"cannot parse multiplier in {token!r}") from None
+    return _number(value, f"multiplier in {token!r}")
 
 
 def algebra_to_dict(L: LieAlgebra, B: AdaptedBasis, labels=None,

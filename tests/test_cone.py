@@ -1,6 +1,11 @@
+import json
 import math
+from pathlib import Path
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pskmap.catalog import (
     abelian,
@@ -13,6 +18,7 @@ from pskmap.catalog import (
     four_dim_example,
 )
 from pskmap.cone import (
+    PRUNE,
     CForm,
     DSquaredError,
     TrigLaurent,
@@ -25,9 +31,36 @@ from pskmap.cone import (
     special_blocks,
     verify_eta_conditions,
 )
+from pskmap.catalog import conjugate_algebra
+from pskmap.cli import main
 from pskmap.connection import levi_civita
-from pskmap.forms import Form
+from pskmap.forms import Form, kahler_form
 from pskmap.intrinsic import SymTensor3, all_residuals, pq_from_tensors, rotate_tensors
+from pskmap.io import save_algebra_file
+from pskmap.lie import solve_primitive
+
+# Monomials t^k cos^a sin^b with negative t powers and unreduced sin powers;
+# the public constructor reduces them to canonical form.
+monomials = st.tuples(st.integers(-3, 3), st.integers(0, 3), st.integers(0, 3))
+coefficients = st.one_of(st.floats(-3.0, 3.0), st.sampled_from([0.0, 1e-15, -1e-15]))
+trig_laurents = st.dictionaries(monomials, coefficients, max_size=5).map(TrigLaurent)
+points = st.tuples(st.floats(0.5, 2.0), st.floats(-math.pi, math.pi))
+
+
+def assert_canonical(f):
+    for (k, a, b), c in f.terms.items():
+        assert a >= 0 and b in (0, 1)
+        assert abs(c) > PRUNE
+
+
+def close(got, want, *sizes):
+    """Pointwise agreement up to rounding, scaled by the operands' sizes."""
+    assert got == pytest.approx(want, rel=1e-9, abs=1e-9 * (1.0 + sum(sizes)))
+
+
+def size(f, t):
+    """Bound on |f| near t (every monomial at its largest)."""
+    return sum(abs(c) * max(t, 1.0 / t) ** abs(k) for (k, _, _), c in f.terms.items())
 
 
 class TestTrigLaurent:
@@ -62,6 +95,50 @@ class TestTrigLaurent:
         assert f.is_constant()
         g = TrigLaurent.sin_tau() * TrigLaurent.sin_tau() + TrigLaurent.cos_tau() * TrigLaurent.cos_tau()
         assert g.is_constant() and g.constant_part() == pytest.approx(1.0)
+
+
+class TestTrigLaurentProperties:
+    """The trusted fast paths against pointwise evaluation."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(trig_laurents, trig_laurents, points)
+    def test_ring_operations(self, f, g, point):
+        t, tau = point
+        fv, gv = f.eval(t, tau), g.eval(t, tau)
+        sf, sg = size(f, t), size(g, t)
+        for got, want, bound in ((f + g, fv + gv, sf + sg), (f - g, fv - gv, sf + sg),
+                                 (-f, -fv, sf), (f * g, fv * gv, sf * sg)):
+            assert_canonical(got)
+            close(got.eval(t, tau), want, bound)
+
+    @settings(max_examples=200, deadline=None)
+    @given(trig_laurents, st.floats(-3.0, 3.0), points)
+    def test_constant_factor_products(self, f, c, point):
+        t, tau = point
+        want = c * f.eval(t, tau)
+        for got in (f * TrigLaurent.const(c), TrigLaurent.const(c) * f, f * c, c * f):
+            assert_canonical(got)
+            close(got.eval(t, tau), want, abs(c) * size(f, t))
+
+    @settings(max_examples=200, deadline=None)
+    @given(trig_laurents, points)
+    def test_derivatives(self, f, point):
+        t, tau = point
+        cs, sn = math.cos(tau), math.sin(tau)
+        want_t = want_tau = 0.0
+        for (k, a, b), c in f.terms.items():
+            want_t += c * k * t ** (k - 1) * cs ** a * sn ** b
+            want_tau += c * t ** k * (b * cs ** (a + 1) * sn ** max(b - 1, 0)
+                                      - a * cs ** max(a - 1, 0) * sn ** (b + 1))
+        ft, ftau = f.dt(), f.dtau()
+        assert_canonical(ft)
+        assert_canonical(ftau)
+        close(ft.eval(t, tau), want_t, 3.0 * size(f, t) / t)
+        close(ftau.eval(t, tau), want_tau, 3.0 * size(f, t))
+
+    @given(trig_laurents)
+    def test_constructor_output_canonical(self, f):
+        assert_canonical(f)
 
 
 class TestConeCoframe:
@@ -293,3 +370,75 @@ class TestOracleEquivalence:
         cone = oracle_residual(L, B, bad)
         assert intrinsic > 1e-9 and cone > 1e-9
         assert 0.25 <= cone / intrinsic <= 4.0
+
+
+def _unitary_frame(n, rng):
+    """Random U(n) acting on (a_1..a_n, b_1..b_n), as a real 2n x 2n matrix."""
+    z = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+    q, _ = np.linalg.qr(z)
+    return np.block([[q.real, -q.imag], [q.imag, q.real]])
+
+
+def _random_cform(rng, m, degree):
+    coeffs = {}
+    for _ in range(4):
+        key = tuple(sorted(rng.choice(np.arange(1, m + 1), size=degree, replace=False)))
+        terms = {(int(rng.integers(-2, 3)), int(rng.integers(0, 3)), int(rng.integers(0, 2))):
+                 float(rng.uniform(-2, 2)) for _ in range(3)}
+        coeffs[key] = TrigLaurent(terms)
+    return CForm(m, degree, coeffs)
+
+
+class TestDerivationDense:
+    def test_d_squared_on_random_forms_rotated_product(self, rng):
+        # In a random U(2) frame every generator's rule is dense, so the
+        # derivation splices every rule term into every monomial.
+        L0, B = four_dim_example()
+        L = conjugate_algebra(L0, _unitary_frame(2, rng))
+        kappa, _ = solve_primitive(L, kahler_form(2))
+        CA = cone_coframe(L, B, kappa)
+        assert all(len(CA.d_rules[i].coeffs) >= 4 for i in range(4))
+        for degree in range(0, 4):
+            for _ in range(5):
+                f = _random_cform(rng, CA.m, degree)
+                assert CA.d(CA.d(f)).norm_inf() < 1e-11 * (1.0 + f.norm_inf())
+
+
+FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
+
+
+class TestConeVerifyCommand:
+    def test_builds_curvature_and_lc_once(self, monkeypatch, capsys):
+        import pskmap.cli as cli_module
+        import pskmap.cone as cone_module
+
+        calls = {"curvature_of": 0, "cone_lc": 0}
+        for name in calls:
+            original = getattr(cone_module, name)
+
+            def counted(*args, _name=name, _original=original, **kwargs):
+                calls[_name] += 1
+                return _original(*args, **kwargs)
+
+            for module in (cone_module, cli_module):
+                monkeypatch.setattr(module, name, counted)
+        assert main(["cone-verify", str(FIXTURES / "ch1_cubed.json")]) == 0
+        assert calls == {"curvature_of": 1, "cone_lc": 1}
+
+    def test_obstructed_residuals_pinned(self, tmp_path, capsys):
+        # Values of the implementation that rebuilt every object per check.
+        pinned = {
+            "torsion": 0.0, "special_symplectic_i": 0.0, "special_symplectic_g": 0.0,
+            "conic_x": 0.0, "conic_jx": 0.0, "flatness": 3.42985260454278,
+            "blocks_T": 0.0, "blocks_U": 3.42985260454278,
+            "blocks_V": 3.42985260454278, "blocks_W": 0.0,
+        }
+        path = tmp_path / "ch1_1p5.json"
+        save_algebra_file(str(path), *ch1(1.5), candidate=ch1_candidate(1.5))
+        assert main(["cone-verify", str(path)]) == 1
+        report = json.loads(capsys.readouterr().out)
+        assert report["status"] == "ResidualFailure"
+        residuals = report["results"]["residuals"]
+        assert residuals.keys() == pinned.keys()
+        for name, value in pinned.items():
+            assert residuals[name] == pytest.approx(value, rel=1e-12), name

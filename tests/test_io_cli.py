@@ -57,6 +57,37 @@ class TestAlgebraFile:
             parse_template({"n": 1, "brackets": [[1, 2, 2, "q"]]})
 
 
+def _malformed(edit):
+    obj = json.loads(open(fixture("four_dim.json")).read())
+    edit(obj)
+    return obj
+
+
+MALFORMED = {
+    "labels_not_list": lambda o: o.__setitem__("labels", 5),
+    "Sa_not_list": lambda o: o["candidate"].__setitem__("Sa", 7),
+    "kappa_not_list": lambda o: o["candidate"].__setitem__("kappa", {"1": 0.5}),
+    "bracket_too_large": lambda o: o["brackets"][0].__setitem__(3, 1e308),
+    "bracket_nan": lambda o: o["brackets"][0].__setitem__(3, float("nan")),
+    "bracket_bool": lambda o: o["brackets"][0].__setitem__(3, True),
+    "kappa_inf": lambda o: o["candidate"]["kappa"][0].__setitem__(1, float("inf")),
+    "tensor_string": lambda o: o["candidate"]["Sa"][0].__setitem__(3, "abc"),
+    "n_bool": lambda o: o.__setitem__("n", True),
+}
+
+
+@pytest.mark.parametrize("command", ["check", "cone-verify", "cmap", "solve"])
+@pytest.mark.parametrize("case", sorted(MALFORMED))
+def test_malformed_numbers_and_fields_exit_2(case, command, tmp_path, capsys):
+    path = tmp_path / f"{case}.json"
+    path.write_text(json.dumps(_malformed(MALFORMED[case])))
+    extra = ["--starts", "2", "--seed", "1"] if command == "solve" else []
+    assert main([command, str(path)] + extra) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and "Traceback" not in captured.err
+
+
 class TestCLI:
     def test_check_worked_example(self, capsys):
         code = main(["check", fixture("four_dim.json")])
