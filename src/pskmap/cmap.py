@@ -20,22 +20,19 @@ posteriori.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
 from .cone import (
     CForm,
     ConeAlgebra,
-    TL_ONE,
     TrigLaurent,
     _i_matrix,
-    apply_derivation,
     cone_coframe,
     cone_lc,
     eta_from_pq,
 )
-from .connection import levi_civita
+from .connection import ConnectionData, levi_civita
 from .forms import Form, all_keys, wedge
 from .intrinsic import PSKCandidate, all_residuals, pq_from_tensors
 from .lie import (
@@ -67,46 +64,16 @@ class NonConstantError(Exception):
     """A twisted differential kept t/tau dependence in the invariant frame."""
 
 
-@dataclass(frozen=True)
-class TwistFrame:
-    """Cone generators plus the parallel cotangent coframe Delta.
+class TwistFrame(ConeAlgebra):
+    """The cone algebra plus the parallel cotangent coframe Delta.
 
-    Generator indices: 1..2n base, 2n+1 phi, 2n+2 psi = dt,
-    2n+2+k = Delta_k for k = 1..2n+2.
+    Same generators, ring and derivation as ConeAlgebra (d(tau) included);
+    d_rules just carries 2n+2 more of them.  Generator indices: 1..2n base,
+    2n+1 phi, 2n+2 psi = dt, 2n+2+k = Delta_k for k = 1..2n+2.
     """
-
-    CA: ConeAlgebra
-    d_rules: tuple
-    m: int
-
-    @property
-    def n(self) -> int:
-        return self.CA.n
-
-    @property
-    def idx_phi(self) -> int:
-        return self.CA.idx_phi
-
-    @property
-    def idx_psi(self) -> int:
-        return self.CA.idx_psi
 
     def delta_index(self, k: int) -> int:
         return 2 * self.n + 2 + k
-
-    @cached_property
-    def dtau(self) -> CForm:
-        """The cone's d(tau) = phi - 2 kappa~, on the extended generators."""
-        return CForm(self.m, 1, self.CA.dtau.coeffs)
-
-    def d(self, x: CForm) -> CForm:
-        return apply_derivation(x, self.d_rules, self.dtau, self.idx_psi, True)
-
-    def interior_x(self, x: CForm) -> CForm:
-        return x.interior({self.idx_phi: TL_ONE})
-
-    def lie_x(self, x: CForm) -> CForm:
-        return self.interior_x(self.d(x)) + self.d(self.interior_x(x))
 
     def curvature_correction(self) -> CForm:
         """F = -a^T^b + phi^psi - A^T^B + Phi^Psi in the hatted coframe."""
@@ -119,12 +86,6 @@ class TwistFrame:
         out = out + CForm.basis(m, self.idx_phi, self.idx_psi).scale(TrigLaurent.t_power(1))
         out = out + CForm.basis(m, self.delta_index(2 * n + 1), self.delta_index(2 * n + 2))
         return out
-
-    def d_squared_residual(self) -> float:
-        worst = 0.0
-        for k in range(1, self.m + 1):
-            worst = max(worst, self.d(self.d(CForm.basis(self.m, k))).norm_inf())
-        return worst
 
 
 def twist_differential(TF: TwistFrame, beta: CForm, tol: float = 1e-9) -> CForm:
@@ -141,11 +102,13 @@ def twist_differential(TF: TwistFrame, beta: CForm, tol: float = 1e-9) -> CForm:
 
 
 def build_twist_frame(L: LieAlgebra, B: AdaptedBasis, cand: PSKCandidate,
-                      tol: float = 1e-9) -> TwistFrame:
+                      conn: ConnectionData, tol: float = 1e-9) -> TwistFrame:
     """Assemble the extended frame over a verified geometry and check that
-    d*d = 0 on the cotangent coframe (flatness of the special connection)."""
+    d*d = 0 on the cotangent coframe (flatness of the special connection).
+
+    conn is the Levi-Civita connection of (L, B), which the caller has
+    already built to check the candidate."""
     n = B.n
-    conn = levi_civita(L, B)
     CA = cone_coframe(L, B, cand.kappa)
     p, q = pq_from_tensors(cand.Sa, cand.Sb)
     omega_nabla = cone_lc(CA, conn) + eta_from_pq(CA, p, q).matrix
@@ -163,7 +126,7 @@ def build_twist_frame(L: LieAlgebra, B: AdaptedBasis, cand: PSKCandidate,
             if entry.coeffs:
                 acc = acc - CForm.basis(m_big, 2 * n + 2 + j).wedge(enlarge(entry))
         rules.append(acc)
-    TF = TwistFrame(CA=CA, d_rules=tuple(rules), m=m_big)
+    TF = TwistFrame(L=L, B=B, kappa=cand.kappa, d_rules=tuple(rules), exact=True)
     scale = 1.0 + L.max_constant() ** 2 + p.norm_inf() ** 2
     res = TF.d_squared_residual()
     if res > tol * scale:
@@ -311,28 +274,20 @@ def verify_hyperkahler_frame(TF: TwistFrame) -> dict:
     """Mechanical verification that the cotangent space carries the
     pseudo-hyperKahler triple used by the twist.
 
-    omega_J and omega_K are transcribed from their displays; omega_I has
-    its fiber-block sign fixed so that the induced endomorphisms satisfy
-    I J = K (with the displayed sign the product is not even
-    skew-adjoint).  Reports closure of all three, the quaternion
+    omega_J and omega_K are hk_forms' transcriptions of their displays;
+    omega_I is hk_forms' with its fiber block A^T^B - Phi^Psi negated, so
+    that the induced endomorphisms satisfy I J = K (with the displayed
+    sign the product is not even skew-adjoint).  Reports closure of all three, the quaternion
     relations at t=1, and the rotation of the J/K pair along the circle
     generator.
     """
     n, m = TF.n, TF.m
     di = TF.delta_index
-    t = TrigLaurent.t_power(1)
-    t2 = TrigLaurent.t_power(2)
-    aTb, ATB, ATa, BTb, ATb, BTa = _frame_two_forms(TF)
-    phi_psi = CForm.basis(m, TF.idx_phi, TF.idx_psi)
-    Phi_phi = CForm.basis(m, di(2 * n + 1), TF.idx_phi)
-    Psi_psi = CForm.basis(m, di(2 * n + 2), TF.idx_psi)
-    Phi_psi = CForm.basis(m, di(2 * n + 1), TF.idx_psi)
-    Psi_phi = CForm.basis(m, di(2 * n + 2), TF.idx_phi)
+    hk = hk_forms(TF)
+    ATB = _frame_two_forms(TF)[1]
     Phi_Psi = CForm.basis(m, di(2 * n + 1), di(2 * n + 2))
-
-    omega_i = aTb.scale(t2) - phi_psi.scale(t) - ATB + Phi_Psi
-    omega_j = (ATa + BTb).scale(t) + Phi_phi.scale(t) + Psi_psi
-    omega_k = (ATb - BTa).scale(t) + Phi_psi - Psi_phi.scale(t)
+    omega_i = hk.omega_I - (ATB - Phi_Psi).scale(2.0)
+    omega_j, omega_k = hk.omega_J, hk.omega_K
 
     gram = np.ones(m)
     gram[TF.idx_phi - 1] = gram[TF.idx_psi - 1] = -1.0
@@ -377,12 +332,13 @@ def qk_algebra(L: LieAlgebra, B: AdaptedBasis, cand: PSKCandidate,
     evaluated in the invariant frame (a~, b~, phi, dt/t, delta); the
     output basis is its dual at t = 1, tau = 0.
     """
-    res = all_residuals(L, B, cand)
+    conn = levi_civita(L, B)
+    res = all_residuals(L, B, cand, conn)
     worst = max(res.values())
     if worst > tol:
         raise NotPSKError(f"candidate residuals up to {worst:.3e} exceed {tol:.1e}")
 
-    TF = build_twist_frame(L, B, cand)
+    TF = build_twist_frame(L, B, cand, conn)
     n, m = TF.n, TF.m
     deltas = _invariant_fiber_coframe(TF)
     sub = _output_substitution(TF)
@@ -437,7 +393,6 @@ def _output_triple(TF: TwistFrame, sub: dict, scale: float):
     after substitution is asserted, not assumed.
     """
     n, m = TF.n, TF.m
-    hk = hk_forms(TF)
     tinv2 = TrigLaurent.t_power(-2, 2.0)
     tinv1 = TrigLaurent.t_power(-1, 2.0)
 

@@ -32,7 +32,7 @@ from functools import cached_property
 import numpy as np
 
 from .connection import ConnectionData
-from .forms import Form, sort_with_sign
+from .forms import Form, FormMatrix, sort_with_sign
 from .intrinsic import pq_from_tensors
 from .lie import AdaptedBasis, LieAlgebra, _d_table, check_adapted
 
@@ -401,51 +401,10 @@ def _merge(store: dict, coeffs: dict) -> None:
         _add_term(store, key, val)
 
 
-class CFormMatrix:
-    """Dense matrix of CForm entries of equal degree."""
+class CFormMatrix(FormMatrix):
+    """FormMatrix of CForm entries, with the cone's one-pass matrix wedge."""
 
-    __slots__ = ("rows", "cols", "m", "degree", "entries")
-
-    def __init__(self, entries):
-        rows = [list(r) for r in entries]
-        self.rows = len(rows)
-        self.cols = len(rows[0])
-        self.m = rows[0][0].m
-        self.degree = rows[0][0].degree
-        for r in rows:
-            for f in r:
-                if f.m != self.m or f.degree != self.degree:
-                    raise ValueError("inhomogeneous matrix")
-        self.entries = tuple(tuple(r) for r in rows)
-
-    @classmethod
-    def zeros(cls, m: int, rows: int, cols: int, degree: int) -> "CFormMatrix":
-        return cls([[CForm.zero(m, degree)] * cols for _ in range(rows)])
-
-    def __getitem__(self, ij):
-        i, j = ij
-        return self.entries[i][j]
-
-    def __add__(self, other):
-        return CFormMatrix(
-            [[self[i, j] + other[i, j] for j in range(self.cols)] for i in range(self.rows)]
-        )
-
-    def __sub__(self, other):
-        return CFormMatrix(
-            [[self[i, j] - other[i, j] for j in range(self.cols)] for i in range(self.rows)]
-        )
-
-    def __neg__(self):
-        return self.map(lambda f: -f)
-
-    def map(self, fn):
-        return CFormMatrix([[fn(f) for f in row] for row in self.entries])
-
-    def transpose(self):
-        return CFormMatrix(
-            [[self.entries[i][j] for i in range(self.rows)] for j in range(self.cols)]
-        )
+    __slots__ = ()
 
     def wedge(self, other: "CFormMatrix") -> "CFormMatrix":
         if self.cols != other.rows:
@@ -464,9 +423,6 @@ class CFormMatrix:
                 row.append(CForm._of(m, degree, acc))
             out.append(row)
         return CFormMatrix(out)
-
-    def norm_inf(self) -> float:
-        return max(f.norm_inf() for row in self.entries for f in row)
 
     def nonconstant_norm(self) -> float:
         return max(f.nonconstant_norm() for row in self.entries for f in row)
@@ -520,7 +476,8 @@ def apply_derivation(x: CForm, d_rules, dtau: CForm, idx_psi: int,
 
 @dataclass(frozen=True)
 class ConeAlgebra:
-    """Generators a~^1..a~^n, b~^1..b~^n, phi (index 2n+1), psi (index 2n+2)."""
+    """Generators a~^1..a~^n, b~^1..b~^n, phi (index 2n+1), psi (index 2n+2),
+    then any further generators that d_rules differentiates (m = len(d_rules))."""
 
     L: LieAlgebra
     B: AdaptedBasis
@@ -534,7 +491,7 @@ class ConeAlgebra:
 
     @property
     def m(self) -> int:
-        return 2 * self.B.n + 2
+        return len(self.d_rules)
 
     @property
     def idx_phi(self) -> int:
@@ -552,9 +509,6 @@ class ConeAlgebra:
         if self.kappa is None:
             return phi
         return phi - CForm.from_form(self.kappa, self.m, 2.0)
-
-    def dtau_one_form(self) -> CForm:
-        return self.dtau
 
     def d(self, x: CForm) -> CForm:
         return apply_derivation(x, self.d_rules, self.dtau, self.idx_psi, self.exact)
@@ -605,29 +559,45 @@ class ConeAlgebra:
         return worst
 
 
+def _lift_matrix(CA: ConeAlgebra, X: FormMatrix, scale=1.0) -> CFormMatrix:
+    """Entrywise lift of a matrix of base forms into the cone."""
+    return CFormMatrix([[CA.lift(f, scale) for f in row] for row in X.entries])
+
+
+def _omega_s(n: int, m: int) -> CForm:
+    """omega~_S = sum_i a~^i ^ b~^i over m generators."""
+    omega = CForm.zero(m, 2)
+    for i in range(1, n + 1):
+        omega = omega + CForm.basis(m, i, n + i)
+    return omega
+
+
 def cone_coframe(L: LieAlgebra, B: AdaptedBasis, kappa: Form | None,
                  tol: float = 1e-9) -> ConeAlgebra:
     """Build the cone algebra; verifies d*d = 0 (raises DSquaredError).
 
     kappa may be None for diagnostics that never touch tau-dependent
     coefficients (the exactness-dependent part of the ring is then
-    disabled).
+    disabled).  Otherwise d(d tau) = 2 (omega~_S - d kappa~) is also
+    checked on its own: it is linear in the bracket constants, so the
+    quadratic d^2 scale would let a wrong kappa through once they are large.
     """
     check_adapted(L, B)
     n = B.n
     m = 2 * n + 2
     base_d = _d_table(L)
     rules = [CForm.from_form(base_d[i], m) for i in range(2 * n)]
-    omega = CForm.zero(m, 2)
-    for i in range(1, n + 1):
-        omega = omega + CForm.basis(m, i, n + i)
-    rules.append(omega.scale(2.0))          # d(phi) = 2 omega~_S
-    rules.append(CForm.zero(m, 2))          # d(psi) = 0
+    rules.append(_omega_s(n, m).scale(2.0))     # d(phi) = 2 omega~_S
+    rules.append(CForm.zero(m, 2))              # d(psi) = 0
     CA = ConeAlgebra(L=L, B=B, kappa=kappa, d_rules=tuple(rules), exact=kappa is not None)
     scale = 1.0 + L.max_constant() ** 2
     res = CA.d_squared_residual()
     if res > tol * scale:
         raise DSquaredError(f"d^2 residual {res:.3e} (bad kappa or bad algebra)")
+    if kappa is not None:
+        res = CA.d(CA.dtau).norm_inf()
+        if res > tol * (1.0 + L.max_constant() * (1.0 + kappa.norm_inf())):
+            raise DSquaredError(f"d(d tau) = {res:.3e}: kappa is not a primitive of omega_S")
     return CA
 
 
@@ -680,16 +650,16 @@ def cone_lc(CA: ConeAlgebra, C: ConnectionData, tol: float = 1e-9) -> CFormMatri
     phi = CForm.basis(m, CA.idx_phi)
     a = [CForm.basis(m, i) for i in range(1, n + 1)]
     b = [CForm.basis(m, n + i) for i in range(1, n + 1)]
-    lift = CA.lift
+    mu, lam = _lift_matrix(CA, C.mu), _lift_matrix(CA, C.lam)
     rows = []
     for i in range(n):                      # a-block rows
-        row = [lift(C.mu[i, j]) for j in range(n)]
-        row += [lift(C.lam[i, j]) + (phi if i == j else CForm.zero(m, 1)) for j in range(n)]
+        row = [mu[i, j] for j in range(n)]
+        row += [lam[i, j] + (phi if i == j else CForm.zero(m, 1)) for j in range(n)]
         row += [b[i], a[i]]
         rows.append(row)
     for i in range(n):                      # b-block rows
-        row = [-lift(C.lam[i, j]) - (phi if i == j else CForm.zero(m, 1)) for j in range(n)]
-        row += [lift(C.mu[i, j]) for j in range(n)]
+        row = [-lam[i, j] - (phi if i == j else CForm.zero(m, 1)) for j in range(n)]
+        row += [mu[i, j] for j in range(n)]
         row += [-a[i], b[i]]
         rows.append(row)
     rows.append([b[j] for j in range(n)] + [-a[j] for j in range(n)]
@@ -699,7 +669,7 @@ def cone_lc(CA: ConeAlgebra, C: ConnectionData, tol: float = 1e-9) -> CFormMatri
     omega = CFormMatrix(rows)
 
     theta = CFormMatrix([[f] for f in CA.hatted_coframe()])
-    struct = CFormMatrix([[CA.d(theta[i, 0])] for i in range(m)]) + omega.wedge(theta)
+    struct = theta.map(CA.d) + omega.wedge(theta)
     if struct.norm_inf() > tol:
         bad = max(range(m), key=lambda r: struct[r, 0].norm_inf())
         raise AssertionError(
@@ -733,13 +703,8 @@ def eta_from_pq(CA: ConeAlgebra, p, q) -> EtaForm:
     n = CA.n
     m = CA.m
     cz, sz = TrigLaurent.cos_2tau(), TrigLaurent.sin_2tau()
-    lift = CA.lift
-    u_rows, v_rows = [], []
-    for i in range(n):
-        u_rows.append([lift(p[i, j], cz) - lift(q[i, j], sz) for j in range(n)])
-        v_rows.append([lift(p[i, j], sz) + lift(q[i, j], cz) for j in range(n)])
-    u = CFormMatrix(u_rows)
-    v = CFormMatrix(v_rows)
+    u = _lift_matrix(CA, p, cz) - _lift_matrix(CA, q, sz)
+    v = _lift_matrix(CA, p, sz) + _lift_matrix(CA, q, cz)
     zero = CForm.zero(m, 1)
     rows = []
     for i in range(n):
@@ -827,15 +792,11 @@ def special_blocks(CA: ConeAlgebra, C: ConnectionData, p, q,
 
     K = base_curvature(C, CA.L)
     m = CA.m
-    lift = CA.lift
     a = [CForm.basis(m, i + 1) for i in range(n)]
     b = [CForm.basis(m, n + i + 1) for i in range(n)]
-    omega_s = CForm.zero(m, 2)
-    for i in range(n):
-        omega_s = omega_s + a[i].wedge(b[i])
+    omega_s = _omega_s(n, m)
     u, v = eta.u, eta.v
-    mu = CFormMatrix([[lift(C.mu[i, j]) for j in range(n)] for i in range(n)])
-    lam = CFormMatrix([[lift(C.lam[i, j]) for j in range(n)] for i in range(n)])
+    mu, lam = _lift_matrix(CA, C.mu), _lift_matrix(CA, C.lam)
     phi = CForm.basis(m, CA.idx_phi)
     aaT = CFormMatrix([[a[i].wedge(a[j]) for j in range(n)] for i in range(n)])
     bbT = CFormMatrix([[b[i].wedge(b[j]) for j in range(n)] for i in range(n)])
@@ -844,8 +805,7 @@ def special_blocks(CA: ConeAlgebra, C: ConnectionData, p, q,
     omega_id = CFormMatrix(
         [[omega_s if i == j else CForm.zero(m, 2) for j in range(n)] for i in range(n)]
     )
-    M_l = CFormMatrix([[lift(K.M[i, j]) for j in range(n)] for i in range(n)])
-    L_l = CFormMatrix([[lift(K.Lam[i, j]) for j in range(n)] for i in range(n)])
+    M_l, L_l = _lift_matrix(CA, K.M), _lift_matrix(CA, K.Lam)
 
     T_disp = M_l + aaT + bbT + u.wedge(u) + v.wedge(v)
     U_disp = (u.map(CA.d) + mu.wedge(u) + u.wedge(mu) + lam.wedge(v) - v.wedge(lam)
@@ -878,17 +838,11 @@ def integrability_display_residual(CA: ConeAlgebra, C: ConnectionData, p, q) -> 
     M~^u - u^M~ + Lam~^v + v^Lam~ + 4 omega~_S ^ v  (and its partner)."""
     from .connection import curvature as base_curvature
 
-    n = CA.n
-    m = CA.m
     K = base_curvature(C, CA.L)
     eta = eta_from_pq(CA, p, q)
     u, v = eta.u, eta.v
-    lift = CA.lift
-    M_l = CFormMatrix([[lift(K.M[i, j]) for j in range(n)] for i in range(n)])
-    L_l = CFormMatrix([[lift(K.Lam[i, j]) for j in range(n)] for i in range(n)])
-    omega_s = CForm.zero(m, 2)
-    for i in range(n):
-        omega_s = omega_s + CForm.basis(m, i + 1).wedge(CForm.basis(m, n + i + 1))
+    M_l, L_l = _lift_matrix(CA, K.M), _lift_matrix(CA, K.Lam)
+    omega_s = _omega_s(CA.n, CA.m)
     r1 = (M_l.wedge(u) - u.wedge(M_l) + L_l.wedge(v) + v.wedge(L_l)
           + v.map(lambda f: omega_s.wedge(f).scale(4.0)))
     r2 = (M_l.wedge(v) - v.wedge(M_l) - L_l.wedge(u) - u.wedge(L_l)

@@ -218,7 +218,15 @@ def apply_J(x: Form, cone: bool = False) -> Form:
 
 
 class FormMatrix:
-    """Dense matrix of forms, homogeneous in degree and basis dimension."""
+    """Dense matrix of forms, homogeneous in degree and basis dimension.
+
+    The container does not care what its entries are: anything with ``m``
+    and ``degree`` attributes, ``+``, ``-``, unary ``-`` and ``norm_inf()``
+    will do (``Form`` here, ``cone.CForm`` in the cone).  Every operation
+    returns ``type(self)``, so a subclass keeps its own type.  Scalar
+    ``*`` needs entries with ``* float``; ``scalar_wedge`` and ``identity``
+    wedge or build ``Form`` entries.
+    """
 
     __slots__ = ("rows", "cols", "m", "degree", "entries")
 
@@ -240,11 +248,6 @@ class FormMatrix:
         self.entries = tuple(tuple(r) for r in rows)
 
     @classmethod
-    def zeros(cls, m: int, rows: int, cols: int, degree: int) -> "FormMatrix":
-        z = Form.zero(m, degree)
-        return cls([[z] * cols for _ in range(rows)])
-
-    @classmethod
     def identity(cls, m: int, size: int) -> "FormMatrix":
         """Identity matrix of degree-0 forms (the unit of the wedge product)."""
         one = Form.one(m)
@@ -257,21 +260,21 @@ class FormMatrix:
 
     def __add__(self, other: "FormMatrix") -> "FormMatrix":
         self._check_shape(other)
-        return FormMatrix(
+        return type(self)(
             [[self[i, j] + other[i, j] for j in range(self.cols)] for i in range(self.rows)]
         )
 
     def __sub__(self, other: "FormMatrix") -> "FormMatrix":
         self._check_shape(other)
-        return FormMatrix(
+        return type(self)(
             [[self[i, j] - other[i, j] for j in range(self.cols)] for i in range(self.rows)]
         )
 
     def __neg__(self) -> "FormMatrix":
-        return self * -1.0
+        return self.map(lambda f: -f)
 
     def __mul__(self, scalar: float) -> "FormMatrix":
-        return FormMatrix([[f * scalar for f in row] for row in self.entries])
+        return self.map(lambda f: f * scalar)
 
     __rmul__ = __mul__
 
@@ -282,12 +285,12 @@ class FormMatrix:
             raise ValueError("mismatched basis dimension")
 
     def transpose(self) -> "FormMatrix":
-        return FormMatrix(
+        return type(self)(
             [[self.entries[i][j] for i in range(self.rows)] for j in range(self.cols)]
         )
 
     def map(self, fn) -> "FormMatrix":
-        return FormMatrix([[fn(f) for f in row] for row in self.entries])
+        return type(self)([[fn(f) for f in row] for row in self.entries])
 
     def norm_inf(self) -> float:
         return max(f.norm_inf() for row in self.entries for f in row)
@@ -297,7 +300,7 @@ class FormMatrix:
         return self.map(lambda f: wedge(form, f))
 
     def __repr__(self) -> str:
-        return f"FormMatrix({self.rows}x{self.cols}, deg={self.degree}, m={self.m})"
+        return f"{type(self).__name__}({self.rows}x{self.cols}, deg={self.degree}, m={self.m})"
 
 
 def wedge_matrix(A: FormMatrix, B: FormMatrix) -> FormMatrix:

@@ -153,7 +153,7 @@ def _coframe_column(n: int, block: str) -> FormMatrix:
     return FormMatrix([[Form.basis(m, n + i)] for i in range(1, n + 1)])
 
 
-def torsion_residual(p: FormMatrix, q: FormMatrix, B: AdaptedBasis | None = None) -> float:
+def torsion_residual(p: FormMatrix, q: FormMatrix) -> float:
     """Max norm of p^a + q^b and p^b - q^a (vector-valued two-forms)."""
     n = p.rows
     a = _coframe_column(n, "a")
@@ -216,8 +216,7 @@ def integrability_matrices(K: CurvatureData, p: FormMatrix, q: FormMatrix):
     return r1, r2
 
 
-def integrability_residual(K: CurvatureData, p: FormMatrix, q: FormMatrix,
-                           B: AdaptedBasis | None = None) -> float:
+def integrability_residual(K: CurvatureData, p: FormMatrix, q: FormMatrix) -> float:
     """Max norm of the kappa-free integrability pair (three-form equations)."""
     r1, r2 = integrability_matrices(K, p, q)
     return max(r1.norm_inf(), r2.norm_inf())

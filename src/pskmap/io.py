@@ -186,22 +186,20 @@ def algebra_to_dict(L: LieAlgebra, B: AdaptedBasis, labels=None,
     return out
 
 
-def load_algebra_file(path: str) -> AlgebraFile:
+def _read_json(path: str):
     try:
         with open(path, encoding="utf-8") as fh:
-            obj = json.load(fh)
+            return json.load(fh)
     except (OSError, json.JSONDecodeError) as exc:
         raise ParseError(f"cannot read {path}: {exc}") from exc
-    return parse_algebra(obj)
+
+
+def load_algebra_file(path: str) -> AlgebraFile:
+    return parse_algebra(_read_json(path))
 
 
 def load_template_file(path: str):
-    try:
-        with open(path, encoding="utf-8") as fh:
-            obj = json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
-        raise ParseError(f"cannot read {path}: {exc}") from exc
-    return parse_template(obj)
+    return parse_template(_read_json(path))
 
 
 def save_algebra_file(path: str, L: LieAlgebra, B: AdaptedBasis, labels=None,

@@ -12,7 +12,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import null_space
 
 from .forms import DEFAULT_TOL, Form, ZeroTolerance, all_keys, wedge
 
@@ -151,12 +150,15 @@ def _d1_matrix(L: LieAlgebra) -> np.ndarray:
 
 
 def closed_one_forms(L: LieAlgebra, tol: float = 1e-12) -> list:
-    """Orthonormal basis of the invariant closed one-forms."""
+    """Orthonormal basis of the invariant closed one-forms: the right singular
+    vectors of d beyond its rank, counting singular values above
+    tol * (largest) as in scipy.linalg.null_space(D, rcond=tol)."""
     D = _d1_matrix(L)
     if np.abs(D).max() == 0.0:
         basis = np.eye(L.dim)
     else:
-        basis = null_space(D, rcond=tol)
+        _, s, vh = np.linalg.svd(D, full_matrices=True)
+        basis = vh[int((s > s.max() * tol).sum()):].T
     out = []
     for col in range(basis.shape[1]):
         out.append(Form(L.dim, 1, {(i + 1,): basis[i, col] for i in range(L.dim)}))

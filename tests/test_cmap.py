@@ -26,6 +26,7 @@ from pskmap.cmap import (
     verify_hyperkahler_frame,
 )
 from pskmap.cone import CForm, TrigLaurent
+from pskmap.connection import levi_civita
 from pskmap.intrinsic import PSKCandidate, rotate_tensors
 from pskmap.lie import LieAlgebra, jacobi_residual
 
@@ -33,7 +34,7 @@ from pskmap.lie import LieAlgebra, jacobi_residual
 @pytest.fixture(scope="module")
 def frame_ch1():
     L, B = ch1(2.0)
-    return build_twist_frame(L, B, ch1_flat_candidate(2.0))
+    return build_twist_frame(L, B, ch1_flat_candidate(2.0), levi_civita(L, B))
 
 
 class TestTwistFrame:
@@ -47,7 +48,7 @@ class TestTwistFrame:
         # an obstructed candidate has a non-flat special connection
         L, B = ch1(1.5)
         with pytest.raises(NotPSKError):
-            build_twist_frame(L, B, ch1_candidate(1.5))
+            build_twist_frame(L, B, ch1_candidate(1.5), levi_civita(L, B))
 
 
 class TestTwistDifferential:
@@ -101,7 +102,7 @@ class TestHKForms:
 
     def test_hyperkahler_triple_nonflat_case(self):
         L, B = four_dim_example()
-        TF = build_twist_frame(L, B, four_dim_candidate())
+        TF = build_twist_frame(L, B, four_dim_candidate(), levi_civita(L, B))
         rep = verify_hyperkahler_frame(TF)
         assert max(rep.values()) < 1e-12
 

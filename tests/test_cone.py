@@ -170,7 +170,7 @@ class TestConeCoframe:
     def test_d_tau_one_form_closed(self):
         L, B = four_dim_example()
         CA = cone_coframe(L, B, four_dim_candidate().kappa)
-        assert CA.d(CA.dtau_one_form()).norm_inf() < 1e-14
+        assert CA.d(CA.dtau).norm_inf() < 1e-14
 
     def test_d_squared_zero(self):
         L, B = four_dim_example()

@@ -1,8 +1,13 @@
 import json
 import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import pskmap
+import pskmap.connection as connection_module
 from pskmap.catalog import ch1, four_dim_candidate, four_dim_example
 from pskmap.cli import main
 from pskmap.io import (
@@ -212,3 +217,48 @@ class TestCLI:
         main(args)
         second = capsys.readouterr().out
         assert first == second
+
+
+@pytest.mark.parametrize("constant", [-1e6, -1e8, -1e10])
+def test_cone_verify_rejects_kappa_of_large_constant(tmp_path, capsys, constant):
+    # four_dim's kappa stops being a primitive once its first bracket
+    # constant changes; check says so, and cone-verify must too, however
+    # large the constant (d(d tau) is only linear in it).
+    obj = json.loads(Path(fixture("four_dim.json")).read_text(encoding="utf-8"))
+    obj["brackets"][0][3] = constant
+    path = tmp_path / "four_dim_big.json"
+    path.write_text(json.dumps(obj))
+    assert main(["check", str(path)]) == 3
+    capsys.readouterr()
+    assert main(["cone-verify", str(path)]) == 3
+    report = json.loads(capsys.readouterr().out)
+    assert report["status"] == "Precondition"
+
+
+def test_cli_runs_without_scipy():
+    src = str(Path(pskmap.__file__).resolve().parents[1])
+    code = ("import sys\n"
+            "sys.modules['scipy'] = None\n"
+            "from pskmap.cli import main\n"
+            f"sys.exit(main(['check', {fixture('four_dim.json')!r}]))\n")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout)["status"] == "ok"
+
+
+def test_cmap_builds_levi_civita_once(monkeypatch, capsys):
+    original = connection_module.levi_civita
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    for name, module in list(sys.modules.items()):
+        if name.split(".")[0] == "pskmap" and getattr(module, "levi_civita", None) is original:
+            monkeypatch.setattr(module, "levi_civita", counted)
+    assert main(["cmap", fixture("four_dim.json")]) == 0
+    assert len(calls) == 1

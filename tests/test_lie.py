@@ -1,12 +1,15 @@
 import math
 
+import numpy as np
 import pytest
 
 from pskmap.catalog import (
     abelian,
     ch1,
+    ch1_cubed,
     ch1_product,
     complex_hyperbolic,
+    flat_plus_ch1,
     four_dim_example,
     random_kahler_algebra,
 )
@@ -14,6 +17,7 @@ from pskmap.forms import Form, kahler_form, wedge
 from pskmap.lie import (
     LieAlgebra,
     NotExactError,
+    _d1_matrix,
     ce_differential,
     closed_one_forms,
     jacobi_residual,
@@ -116,3 +120,21 @@ class TestSolvePrimitive:
     def test_closed_one_forms_abelian(self):
         L, _ = abelian(2)
         assert len(closed_one_forms(L)) == 4
+
+
+def test_closed_one_forms_match_scipy_null_space():
+    # The numpy SVD basis is scipy.linalg.null_space's, bit for bit.
+    linalg = pytest.importorskip("scipy.linalg")
+    rng = np.random.default_rng(11)
+    algebras = [four_dim_example()[0], ch1(2.0)[0], ch1_cubed(2.0)[0],
+                flat_plus_ch1(2.0)[0], abelian(2)[0]]
+    algebras += [complex_hyperbolic(n)[0] for n in (1, 2, 3, 4)]
+    algebras += [random_kahler_algebra(n, rng)[0] for n in (1, 2, 3, 4) for _ in range(3)]
+    algebras += [random_kahler_algebra(3, rng, rotate=False)[0]]
+    for L in algebras:
+        D = _d1_matrix(L)
+        ref = np.eye(L.dim) if not D.any() else linalg.null_space(D, rcond=1e-12)
+        expect = [Form(L.dim, 1, {(i + 1,): ref[i, c] for i in range(L.dim)})
+                  for c in range(ref.shape[1])]
+        got = closed_one_forms(L)
+        assert [f.coeffs for f in got] == [f.coeffs for f in expect]
