@@ -8,11 +8,9 @@ from .forms import (
     Form,
     FormMatrix,
     ZeroTolerance,
-    apply_J,
     interior,
     kahler_form,
     wedge,
-    wedge_matrix,
 )
 from .lie import (
     AdaptedBasis,

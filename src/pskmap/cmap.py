@@ -33,7 +33,7 @@ from .cone import (
     eta_from_pq,
 )
 from .connection import ConnectionData, levi_civita
-from .forms import Form, all_keys, wedge
+from .forms import Form, all_keys, max_abs, wedge
 from .intrinsic import PSKCandidate, all_residuals, pq_from_tensors
 from .lie import (
     AdaptedBasis,
@@ -127,7 +127,7 @@ def build_twist_frame(L: LieAlgebra, B: AdaptedBasis, cand: PSKCandidate,
                 acc = acc - CForm.basis(m_big, 2 * n + 2 + j).wedge(enlarge(entry))
         rules.append(acc)
     TF = TwistFrame(L=L, B=B, kappa=cand.kappa, d_rules=tuple(rules), exact=True)
-    scale = 1.0 + L.max_constant() ** 2 + p.norm_inf() ** 2
+    scale = 1.0 + L.max_constant() ** 2 + max_abs(p) ** 2
     res = TF.d_squared_residual()
     if res > tol * scale:
         raise NotPSKError(

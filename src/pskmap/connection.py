@@ -5,6 +5,10 @@ basis, 2<nabla_X Y, Z> = <[X,Y],Z> - <[Y,Z],X> + <[Z,X],Y>, then split
 into the u(n) blocks mu (skew) and lambda (symmetric).  The structure
 equation d(theta) = -omega ^ theta is asserted as an independent check,
 because the Koszul route never solves it.
+
+Every matrix of forms here is a dense array with the key axis last, on the
+kernel of forms.DenseExterior; d is the matrix lie.d_matrix(L, k) acting on
+that axis.
 """
 
 from __future__ import annotations
@@ -13,87 +17,72 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .forms import (
-    DEFAULT_TOL,
-    Form,
-    FormMatrix,
-    ZeroTolerance,
-    a_form,
-    b_form,
-    kahler_form,
-    wedge,
-    wedge_matrix,
-)
-from .lie import AdaptedBasis, LieAlgebra, ce_differential, check_adapted, validate_lie_algebra
+from .forms import DEFAULT_TOL, DenseExterior, ZeroTolerance, max_abs
+from .lie import AdaptedBasis, LieAlgebra, check_adapted, d_matrix, validate_lie_algebra
 
 
 class NotKahlerError(Exception):
     """The Levi-Civita connection fails the u(n) block shape."""
 
 
+def _block_shape_residual(skew: np.ndarray, sym: np.ndarray) -> float:
+    """Deviation of an (n, n, *) pair of blocks from (skew, symmetric)."""
+    return max(max_abs(skew + skew.transpose(1, 0, 2)),
+               max_abs(sym - sym.transpose(1, 0, 2)))
+
+
 @dataclass(frozen=True)
 class ConnectionData:
-    """Blocks of the connection form: mu is n x n skew, lam is n x n symmetric."""
+    """Blocks of the connection form, (n, n, 2n) arrays of one-forms over
+    all_keys(2n, 1): mu is skew, lam is symmetric."""
 
-    mu: FormMatrix
-    lam: FormMatrix
+    mu: np.ndarray
+    lam: np.ndarray
 
     @property
     def n(self) -> int:
-        return self.mu.rows
+        return self.mu.shape[0]
 
     def shape_residual(self) -> float:
-        skew = (self.mu + self.mu.transpose()).norm_inf()
-        sym = (self.lam - self.lam.transpose()).norm_inf()
-        return max(skew, sym)
+        return _block_shape_residual(self.mu, self.lam)
 
 
 @dataclass(frozen=True)
 class CurvatureData:
-    """Curvature blocks: M skew, Lam symmetric, both of degree 2."""
+    """Curvature blocks, (n, n, comb(2n, 2)) arrays of two-forms over
+    all_keys(2n, 2): M is skew, Lam is symmetric."""
 
-    M: FormMatrix
-    Lam: FormMatrix
+    M: np.ndarray
+    Lam: np.ndarray
 
     @property
     def n(self) -> int:
-        return self.M.rows
+        return self.M.shape[0]
 
     def shape_residual(self) -> float:
-        skew = (self.M + self.M.transpose()).norm_inf()
-        sym = (self.Lam - self.Lam.transpose()).norm_inf()
-        return max(skew, sym)
+        return _block_shape_residual(self.M, self.Lam)
 
 
-def _koszul_matrix(L: LieAlgebra) -> FormMatrix:
-    """Full connection one-form matrix omega^k_j with omega^k_j(e_i) = <nabla_{e_i} e_j, e_k>."""
-    m = L.dim
+def _koszul_matrix(L: LieAlgebra) -> np.ndarray:
+    """Full connection one-form matrix omega^k_j with omega^k_j(e_i) = <nabla_{e_i} e_j, e_k>,
+    as an (m, m, m) array indexed [k, j, i]."""
     c = L.constants()
     # gamma[i, j, k] = (c[i,j,k] - c[j,k,i] + c[k,i,j]) / 2
     gamma = 0.5 * (c - np.einsum("jki->ijk", c) + np.einsum("kij->ijk", c))
-    entries = []
-    for k in range(m):
-        row = []
-        for j in range(m):
-            row.append(Form(m, 1, {(i + 1,): gamma[i, j, k] for i in range(m)}))
-        entries.append(row)
-    return FormMatrix(entries)
+    return gamma.transpose(2, 1, 0)
 
 
-def _structural_residual(L: LieAlgebra, omega: FormMatrix) -> float:
-    theta = FormMatrix([[Form.basis(L.dim, i + 1)] for i in range(L.dim)])
-    dtheta = theta.map(lambda f: ce_differential(L, f))
-    return (dtheta + wedge_matrix(omega, theta)).norm_inf()
+def _structural_residual(L: LieAlgebra, omega: np.ndarray) -> float:
+    """Max norm of d(theta) + omega ^ theta on the coframe column theta."""
+    theta = np.eye(L.dim)[:, None, :]
+    dtheta = d_matrix(L, 1).T[:, None, :]
+    return max_abs(dtheta + DenseExterior(L.dim).wedge_matrix(omega, theta, 1, 1))
 
 
-def _u_shape_residual(omega: FormMatrix, n: int) -> float:
+def _u_shape_residual(omega: np.ndarray, n: int) -> float:
     """Deviation of omega from the u(n) block pattern [[mu, lam], [-lam, mu]]."""
-    worst = 0.0
-    for i in range(n):
-        for j in range(n):
-            worst = max(worst, (omega[i, j] - omega[n + i, n + j]).norm_inf())
-            worst = max(worst, (omega[i, n + j] + omega[n + i, j]).norm_inf())
-    return worst
+    return max(max_abs(omega[:n, :n] - omega[n:, n:]),
+               max_abs(omega[:n, n:] + omega[n:, :n]))
 
 
 def levi_civita(L: LieAlgebra, B: AdaptedBasis, tol: ZeroTolerance = DEFAULT_TOL) -> ConnectionData:
@@ -114,9 +103,7 @@ def levi_civita(L: LieAlgebra, B: AdaptedBasis, tol: ZeroTolerance = DEFAULT_TOL
     shape = _u_shape_residual(omega, n)
     if shape > tol.bound(scale):
         raise NotKahlerError(f"u(n) shape residual {shape:.3e}")
-    mu = FormMatrix([[omega[i, j] for j in range(n)] for i in range(n)])
-    lam = FormMatrix([[omega[i, n + j] for j in range(n)] for i in range(n)])
-    conn = ConnectionData(mu, lam)
+    conn = ConnectionData(omega[:n, :n], omega[:n, n:])
     if conn.shape_residual() > tol.bound(scale):
         raise NotKahlerError(f"block symmetry residual {conn.shape_residual():.3e}")
     return conn
@@ -134,17 +121,18 @@ class KahlerReport:
 def kahler_check(L: LieAlgebra, B: AdaptedBasis) -> KahlerReport:
     """Diagnostic: closedness of the invariant two-form and the u(n) shape residual."""
     check_adapted(L, B)
-    omega_s = kahler_form(B.n)
-    domega = ce_differential(L, omega_s).norm_inf()
+    domega = max_abs(d_matrix(L, 2) @ DenseExterior(L.dim).kahler())
     shape = _u_shape_residual(_koszul_matrix(L), B.n)
     return KahlerReport(domega_norm=domega, shape_residual=shape)
 
 
 def curvature(C: ConnectionData, L: LieAlgebra) -> CurvatureData:
     """M = d(mu) + mu^mu - lam^lam and Lam = d(lam) + mu^lam + lam^mu."""
-    d = lambda mat: mat.map(lambda f: ce_differential(L, f))
-    M = d(C.mu) + wedge_matrix(C.mu, C.mu) - wedge_matrix(C.lam, C.lam)
-    Lam = d(C.lam) + wedge_matrix(C.mu, C.lam) + wedge_matrix(C.lam, C.mu)
+    D = d_matrix(L, 1)
+    ext = DenseExterior(L.dim)
+    wm = lambda X, Y: ext.wedge_matrix(X, Y, 1, 1)
+    M = C.mu @ D.T + wm(C.mu, C.mu) - wm(C.lam, C.lam)
+    Lam = C.lam @ D.T + wm(C.mu, C.lam) + wm(C.lam, C.mu)
     return CurvatureData(M, Lam)
 
 
@@ -154,33 +142,23 @@ def ch_model(n: int) -> CurvatureData:
     Lam = -a^b^T + b^a^T - 2 omega_S id."""
     if n < 1:
         raise ValueError("n must be >= 1")
-    omega_s = kahler_form(n)
-    M_rows, L_rows = [], []
-    for i in range(1, n + 1):
-        M_row, L_row = [], []
-        for j in range(1, n + 1):
-            M_ij = -wedge(a_form(n, i), a_form(n, j)) - wedge(b_form(n, i), b_form(n, j))
-            L_ij = -wedge(a_form(n, i), b_form(n, j)) + wedge(b_form(n, i), a_form(n, j))
-            if i == j:
-                L_ij = L_ij - 2.0 * omega_s
-            M_row.append(M_ij)
-            L_row.append(L_ij)
-        M_rows.append(M_row)
-        L_rows.append(L_row)
-    return CurvatureData(FormMatrix(M_rows), FormMatrix(L_rows))
+    ext = DenseExterior(2 * n)
+    coframe = np.eye(2 * n)
+    a, b = coframe[:n], coframe[n:]
+    outer = lambda x, y: ext.wedge(x[:, None], y[None, :], 1, 1)
+    M = -outer(a, a) - outer(b, b)
+    Lam = -outer(a, b) + outer(b, a) - 2.0 * np.eye(n)[:, :, None] * ext.kahler()
+    return CurvatureData(M, Lam)
 
 
 def bianchi_residual(C: ConnectionData, K: CurvatureData, L: LieAlgebra) -> float:
     """Residual of the two differential curvature identities; vanishes whenever
     K was actually computed from C over a genuine Lie algebra."""
-    d = lambda mat: mat.map(lambda f: ce_differential(L, f))
+    D = d_matrix(L, 2)
+    ext = DenseExterior(L.dim)
     mu, lam, M, Lam = C.mu, C.lam, K.M, K.Lam
-    rM = d(M) - (
-        wedge_matrix(M, mu) - wedge_matrix(mu, M)
-        - wedge_matrix(Lam, lam) + wedge_matrix(lam, Lam)
-    )
-    rL = d(Lam) - (
-        wedge_matrix(M, lam) - wedge_matrix(mu, Lam)
-        + wedge_matrix(Lam, mu) - wedge_matrix(lam, M)
-    )
-    return max(rM.norm_inf(), rL.norm_inf())
+    w21 = lambda X, Y: ext.wedge_matrix(X, Y, 2, 1)
+    w12 = lambda X, Y: ext.wedge_matrix(X, Y, 1, 2)
+    rM = M @ D.T - (w21(M, mu) - w12(mu, M) - w21(Lam, lam) + w12(lam, Lam))
+    rL = Lam @ D.T - (w21(M, lam) - w12(mu, Lam) + w21(Lam, mu) - w12(lam, M))
+    return max(max_abs(rM), max_abs(rL))

@@ -5,10 +5,13 @@ increasing k-tuples of basis indices (1-based) to float coefficients.
 All values are immutable after construction and every operation returns
 a fresh object, so unrestricted concurrent use is safe.
 
-DenseExterior is the numeric kernel beside it: a degree-k form is a float
-array over all_keys(m, k), a matrix of forms is an array with the key axis
-last, and wedge products contract with (k, l) sign tables.  The solver
-compiles its residual on it; the Form evaluators stay the reference.
+DenseExterior is the numeric kernel of the intrinsic side: a degree-k form
+is a float array over all_keys(m, k), a matrix of forms is an array with the
+key axis last, and wedge products contract with (k, l) sign tables.  The
+connection, the curvature, p and q, the residuals and the solver's compile
+all live on it.  Form is kept at the boundaries: parsing and reports, the
+candidate's kappa, the primitives and closed one-forms of lie.py, and the
+cone oracle and the twist, which lift the dense data into the cone.
 
 Basis ordering convention: indices 1..n are the a-forms, n+1..2n the
 b-forms; when a cone is attached, 2n+1 and 2n+2 are the two extra
@@ -187,45 +190,13 @@ def interior(v: int, x: Form) -> Form:
     return Form(x.m, x.degree - 1, out)
 
 
-def apply_J(x: Form, cone: bool = False) -> Form:
-    """Complex-structure action on a one-form: a^i -> b^i, b^i -> -a^i.
-
-    With cone=True the basis is read as 2n+2-dimensional and the last
-    two generators rotate into one another the same way.
-    """
-    if x.degree != 1:
-        raise ValueError("apply_J is defined on one-forms only")
-    m = x.m
-    if cone:
-        if m % 2 != 0 or m < 4:
-            raise ValueError("cone basis dimension must be even and >= 4")
-        n = (m - 2) // 2
-    else:
-        if m % 2 != 0:
-            raise ValueError("basis dimension must be even")
-        n = m // 2
-    out: dict = {}
-    for (i,), val in x.coeffs.items():
-        if i <= n:
-            out[(i + n,)] = out.get((i + n,), 0.0) + val
-        elif i <= 2 * n:
-            out[(i - n,)] = out.get((i - n,), 0.0) - val
-        elif i == 2 * n + 1:
-            out[(i + 1,)] = out.get((i + 1,), 0.0) + val
-        else:
-            out[(i - 1,)] = out.get((i - 1,), 0.0) - val
-    return Form(m, 1, out)
-
-
 class FormMatrix:
     """Dense matrix of forms, homogeneous in degree and basis dimension.
 
     The container does not care what its entries are: anything with ``m``
     and ``degree`` attributes, ``+``, ``-``, unary ``-`` and ``norm_inf()``
-    will do (``Form`` here, ``cone.CForm`` in the cone).  Every operation
-    returns ``type(self)``, so a subclass keeps its own type.  Scalar
-    ``*`` needs entries with ``* float``; ``scalar_wedge`` and ``identity``
-    wedge or build ``Form`` entries.
+    will do (``cone.CForm`` in the cone's subclass ``cone.CFormMatrix``).
+    Every operation returns ``type(self)``, so a subclass keeps its own type.
     """
 
     __slots__ = ("rows", "cols", "m", "degree", "entries")
@@ -247,13 +218,6 @@ class FormMatrix:
                     raise ValueError("inhomogeneous matrix entries")
         self.entries = tuple(tuple(r) for r in rows)
 
-    @classmethod
-    def identity(cls, m: int, size: int) -> "FormMatrix":
-        """Identity matrix of degree-0 forms (the unit of the wedge product)."""
-        one = Form.one(m)
-        zero = Form.zero(m, 0)
-        return cls([[one if i == j else zero for j in range(size)] for i in range(size)])
-
     def __getitem__(self, ij):
         i, j = ij
         return self.entries[i][j]
@@ -273,11 +237,6 @@ class FormMatrix:
     def __neg__(self) -> "FormMatrix":
         return self.map(lambda f: -f)
 
-    def __mul__(self, scalar: float) -> "FormMatrix":
-        return self.map(lambda f: f * scalar)
-
-    __rmul__ = __mul__
-
     def _check_shape(self, other: "FormMatrix") -> None:
         if (self.rows, self.cols) != (other.rows, other.cols):
             raise ValueError("shape mismatch")
@@ -295,42 +254,11 @@ class FormMatrix:
     def norm_inf(self) -> float:
         return max(f.norm_inf() for row in self.entries for f in row)
 
-    def scalar_wedge(self, form: Form) -> "FormMatrix":
-        """Wedge a single form onto every entry from the left."""
-        return self.map(lambda f: wedge(form, f))
-
     def __repr__(self) -> str:
         return f"{type(self).__name__}({self.rows}x{self.cols}, deg={self.degree}, m={self.m})"
 
 
-def wedge_matrix(A: FormMatrix, B: FormMatrix) -> FormMatrix:
-    """Matrix product with the wedge in place of scalar multiplication."""
-    if A.cols != B.rows:
-        raise ValueError("shape mismatch")
-    if A.m != B.m:
-        raise ValueError("mismatched basis dimension")
-    out = []
-    for i in range(A.rows):
-        row = []
-        for j in range(B.cols):
-            acc = Form.zero(A.m, A.degree + B.degree)
-            for k in range(A.cols):
-                acc = acc + wedge(A[i, k], B[k, j])
-            row.append(acc)
-        out.append(row)
-    return FormMatrix(out)
-
-
 # -- adapted-basis helpers -------------------------------------------
-
-
-def a_form(n: int, i: int) -> Form:
-    """The i-th a-coframe element over the 2n-dimensional dual basis."""
-    return Form.basis(2 * n, i)
-
-
-def b_form(n: int, i: int) -> Form:
-    return Form.basis(2 * n, n + i)
 
 
 def kahler_form(n: int) -> Form:
@@ -353,12 +281,19 @@ def all_keys(m: int, degree: int):
     return list(combinations(range(1, m + 1), degree))
 
 
+def max_abs(x: np.ndarray) -> float:
+    """Largest absolute entry of a dense form array; 0.0 when it is empty."""
+    return float(np.abs(x).max(initial=0.0))
+
+
 class DenseExterior:
     """Dense exterior algebra over m generators.
 
     A degree-k form is a float array of length comb(m, k) over
     all_keys(m, k); a matrix of forms is an array with the key axis last.
-    The (k, l) sign tables are built on first use and belong to the
+    Every product is a broadcast, a two-operand einsum or tensordots, and
+    one matrix product with the (k, l) sign table, so no call searches for
+    an einsum path.  The tables are built on first use and belong to the
     instance, so their lifetime is the caller's.
     """
 
@@ -383,37 +318,56 @@ class DenseExterior:
             out[index[key]] = val
         return out
 
-    def dense_matrix(self, X: FormMatrix) -> np.ndarray:
-        """(rows, cols, comb(m, degree)) array of a matrix of forms."""
-        return np.array([[self.dense(f) for f in row] for row in X.entries])
+    def basis(self, *indices: int) -> np.ndarray:
+        """The monomial e^i1 ^ ... ^ e^ik as a dense k-form."""
+        sign, key = sort_with_sign(indices)
+        out = np.zeros(comb(self.m, len(indices)))
+        if sign:
+            out[self._key_index(len(indices))[key]] = sign
+        return out
+
+    def kahler(self) -> np.ndarray:
+        """omega_S = sum_i e^i ^ e^(n+i) over m = 2n generators."""
+        n = self.m // 2
+        return sum(self.basis(i, n + i) for i in range(1, n + 1))
 
     def table(self, k: int, l: int) -> np.ndarray:
-        """sign[a, b, c]: coefficient of key c in key_a ^ key_b (0, +1 or -1)."""
+        """sign[a * comb(m, l) + b, c]: coefficient of key c in key_a ^ key_b
+        (0, +1 or -1)."""
         table = self._tables.get((k, l))
         if table is None:
             out_index = self._key_index(k + l)
             left, right = all_keys(self.m, k), all_keys(self.m, l)
-            table = np.zeros((len(left), len(right), len(out_index)))
+            table = np.zeros((len(left) * len(right), len(out_index)))
             for a, ka in enumerate(left):
                 for b, kb in enumerate(right):
                     sign, key = sort_with_sign(ka + kb)
                     if sign:
-                        table[a, b, out_index[key]] = sign
+                        table[a * len(right) + b, out_index[key]] = sign
             self._tables[(k, l)] = table
         return table
 
+    def _contract(self, outer: np.ndarray, k: int, l: int) -> np.ndarray:
+        """(..., comb(m, k), comb(m, l)) key products -> (..., comb(m, k + l))."""
+        a, b = outer.shape[-2:]
+        return outer.reshape(outer.shape[:-2] + (a * b,)) @ self.table(k, l)
+
     def wedge(self, x: np.ndarray, y: np.ndarray, k: int, l: int) -> np.ndarray:
         """Degree-k x ^ degree-l y, entrywise over broadcast leading axes."""
-        return np.einsum("...a,...b,abc->...c", x, y, self.table(k, l), optimize=True)
+        return self._contract(x[..., :, None] * y[..., None, :], k, l)
 
     def wedge_matrix(self, X: np.ndarray, Y: np.ndarray, k: int, l: int) -> np.ndarray:
         """Matrix product with the wedge, X (..., r, s, *) by Y (..., s, c, *),
         over broadcast leading axes."""
-        return np.einsum("...rsa,...scb,abo->...rco", X, Y, self.table(k, l),
-                         optimize=True)
+        return self._contract(np.einsum("...rsa,...scb->...rcab", X, Y), k, l)
 
     def pair_wedge_matrix(self, X: np.ndarray, Y: np.ndarray, k: int, l: int) -> np.ndarray:
         """All pairwise matrix wedges of two stacks: out[r, c, o, u, v] is
-        entry (r, c), key o of X[u] ^ Y[v]."""
-        return np.einsum("ursa,vscb,abo->rcouv", X, Y, self.table(k, l),
-                         optimize=True)
+        entry (r, c), key o of X[u] ^ Y[v].
+
+        The sign table is contracted into X first, so that the sum over the
+        inner index and Y's keys is one matrix product."""
+        signs = self.table(k, l).reshape(X.shape[-1], Y.shape[-1], -1)
+        XS = np.tensordot(X, signs, axes=(3, 0))                # (u, r, s, b, o)
+        prod = np.tensordot(XS, Y, axes=([2, 3], [1, 3]))       # (u, r, o, v, c)
+        return prod.transpose(1, 4, 2, 0, 3)

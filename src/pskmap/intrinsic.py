@@ -12,27 +12,23 @@ Sign convention: the derivative equations are evaluated as
 with d(kappa) = +omega_S.  This is the convention under which the
 worked product examples and the CH(1) closed forms are consistent; see
 KAPPA_TERM_SIGN and its regression test.
+
+p, q and every residual matrix are dense (n, n, comb(2n, k)) arrays on the
+kernel of forms.DenseExterior, like the connection and curvature blocks;
+kappa stays a Form, as the candidate carries it.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import combinations_with_replacement
+from itertools import combinations_with_replacement, product
 
 import numpy as np
 
 from .connection import ConnectionData, CurvatureData, ch_model
-from .forms import (
-    DEFAULT_TOL,
-    Form,
-    FormMatrix,
-    ZeroTolerance,
-    apply_J,
-    kahler_form,
-    wedge_matrix,
-)
-from .lie import AdaptedBasis, LieAlgebra, ce_differential
+from .forms import DEFAULT_TOL, DenseExterior, Form, ZeroTolerance, max_abs
+from .lie import AdaptedBasis, LieAlgebra, d_matrix
 
 # +1 selects "+4 kappa^q" in the p-equation and "-4 kappa^p" in the
 # q-equation; the opposite sign regime is not supported.
@@ -99,8 +95,8 @@ class PSKCandidate:
 
     def validate(self, L: LieAlgebra, tol: ZeroTolerance = DEFAULT_TOL) -> None:
         """Check d(kappa) = omega_S against the supplied algebra."""
-        omega = kahler_form(self.n)
-        res = (ce_differential(L, self.kappa) - omega).norm_inf()
+        ext = DenseExterior(2 * self.n)
+        res = max_abs(d_matrix(L, 1) @ ext.dense(self.kappa) - ext.kahler())
         if res > tol.bound(1.0):
             raise ValueError(f"kappa is not a primitive of omega_S (residual {res:.3e})")
 
@@ -112,28 +108,22 @@ def make_candidate(L: LieAlgebra, B: AdaptedBasis, Sa: SymTensor3, Sb: SymTensor
     return cand
 
 
+def j_action(q: np.ndarray) -> np.ndarray:
+    """The complex structure on one-forms, a^i -> b^i and b^i -> -a^i, over
+    the last axis of a (..., 2n) array."""
+    n = q.shape[-1] // 2
+    return np.concatenate([-q[..., n:], q[..., :n]], axis=-1)
+
+
 def pq_from_tensors(Sa: SymTensor3, Sb: SymTensor3):
-    """Symmetric matrices of one-forms: q^i_j = sum_k Sa[ijk] a^k + Sb[ijk] b^k
+    """Symmetric (n, n, 2n) arrays of one-forms: q^i_j = sum_k Sa[ijk] a^k + Sb[ijk] b^k
     and p = J(q) entrywise."""
     n = Sa.n
-    m = 2 * n
-    q_rows = []
-    for i in range(1, n + 1):
-        row = []
-        for j in range(1, n + 1):
-            coeffs = {}
-            for k in range(1, n + 1):
-                va = Sa.get(i, j, k)
-                vb = Sb.get(i, j, k)
-                if va:
-                    coeffs[(k,)] = coeffs.get((k,), 0.0) + va
-                if vb:
-                    coeffs[(n + k,)] = coeffs.get((n + k,), 0.0) + vb
-            row.append(Form(m, 1, coeffs))
-        q_rows.append(row)
-    q = FormMatrix(q_rows)
-    p = q.map(apply_J)
-    return p, q
+    q = np.zeros((n, n, 2 * n))
+    for i, j, k in product(range(1, n + 1), repeat=3):
+        q[i - 1, j - 1, k - 1] = Sa.get(i, j, k)
+        q[i - 1, j - 1, n + k - 1] = Sb.get(i, j, k)
+    return j_action(q), q
 
 
 def build_pq(cand: PSKCandidate):
@@ -146,83 +136,80 @@ def build_pq(cand: PSKCandidate):
     return p, q
 
 
-def _coframe_column(n: int, block: str) -> FormMatrix:
-    m = 2 * n
-    if block == "a":
-        return FormMatrix([[Form.basis(m, i)] for i in range(1, n + 1)])
-    return FormMatrix([[Form.basis(m, n + i)] for i in range(1, n + 1)])
-
-
-def torsion_residual(p: FormMatrix, q: FormMatrix) -> float:
+def torsion_residual(p: np.ndarray, q: np.ndarray) -> float:
     """Max norm of p^a + q^b and p^b - q^a (vector-valued two-forms)."""
-    n = p.rows
-    a = _coframe_column(n, "a")
-    b = _coframe_column(n, "b")
-    first = wedge_matrix(p, a) + wedge_matrix(q, b)
-    second = wedge_matrix(p, b) - wedge_matrix(q, a)
-    return max(first.norm_inf(), second.norm_inf())
+    n = p.shape[0]
+    ext = DenseExterior(2 * n)
+    coframe = np.eye(2 * n)[:, None, :]
+    a, b = coframe[:n], coframe[n:]
+    wm = lambda X, Y: ext.wedge_matrix(X, Y, 1, 1)
+    return max(max_abs(wm(p, a) + wm(q, b)), max_abs(wm(p, b) - wm(q, a)))
 
 
-def tpq_residual(K: CurvatureData, p: FormMatrix, q: FormMatrix) -> float:
+def tpq_residual(K: CurvatureData, p: np.ndarray, q: np.ndarray) -> float:
     """Deviation of M + p^p + q^q from the CH(n) model block."""
-    return tpq_matrix(K, p, q).norm_inf()
+    return max_abs(tpq_matrix(K, p, q))
 
 
-def tpq_matrix(K: CurvatureData, p: FormMatrix, q: FormMatrix) -> FormMatrix:
-    model = ch_model(K.n)
-    return K.M + wedge_matrix(p, p) + wedge_matrix(q, q) - model.M
+def tpq_matrix(K: CurvatureData, p: np.ndarray, q: np.ndarray) -> np.ndarray:
+    ext = DenseExterior(2 * K.n)
+    wm = lambda X, Y: ext.wedge_matrix(X, Y, 1, 1)
+    return K.M + wm(p, p) + wm(q, q) - ch_model(K.n).M
 
 
-def wpq_residual(K: CurvatureData, p: FormMatrix, q: FormMatrix) -> float:
+def wpq_residual(K: CurvatureData, p: np.ndarray, q: np.ndarray) -> float:
     """Deviation of Lam + p^q - q^p from the CH(n) model block."""
-    return wpq_matrix(K, p, q).norm_inf()
+    return max_abs(wpq_matrix(K, p, q))
 
 
-def wpq_matrix(K: CurvatureData, p: FormMatrix, q: FormMatrix) -> FormMatrix:
-    model = ch_model(K.n)
-    return K.Lam + wedge_matrix(p, q) - wedge_matrix(q, p) - model.Lam
+def wpq_matrix(K: CurvatureData, p: np.ndarray, q: np.ndarray) -> np.ndarray:
+    ext = DenseExterior(2 * K.n)
+    wm = lambda X, Y: ext.wedge_matrix(X, Y, 1, 1)
+    return K.Lam + wm(p, q) - wm(q, p) - ch_model(K.n).Lam
 
 
-def dpq_matrices(p: FormMatrix, q: FormMatrix, kappa: Form, C: ConnectionData,
+def dpq_matrices(p: np.ndarray, q: np.ndarray, kappa: Form, C: ConnectionData,
                  L: LieAlgebra):
-    d = lambda mat: mat.map(lambda f: ce_differential(L, f))
+    ext = DenseExterior(L.dim)
+    D = d_matrix(L, 1)
     mu, lam = C.mu, C.lam
-    s = KAPPA_TERM_SIGN
-    kq = q.scalar_wedge(kappa)
-    kp = p.scalar_wedge(kappa)
-    rp = (d(p) + wedge_matrix(mu, p) + wedge_matrix(p, mu)
-          + wedge_matrix(lam, q) - wedge_matrix(q, lam) + (4.0 * s) * kq)
-    rq = (d(q) + wedge_matrix(mu, q) + wedge_matrix(q, mu)
-          - wedge_matrix(lam, p) + wedge_matrix(p, lam) - (4.0 * s) * kp)
+    wm = lambda X, Y: ext.wedge_matrix(X, Y, 1, 1)
+    s4 = 4.0 * KAPPA_TERM_SIGN
+    kap = ext.dense(kappa)
+    rp = (p @ D.T + wm(mu, p) + wm(p, mu) + wm(lam, q) - wm(q, lam)
+          + s4 * ext.wedge(kap, q, 1, 1))
+    rq = (q @ D.T + wm(mu, q) + wm(q, mu) - wm(lam, p) + wm(p, lam)
+          - s4 * ext.wedge(kap, p, 1, 1))
     return rp, rq
 
 
-def dpq_residual(p: FormMatrix, q: FormMatrix, kappa: Form, C: ConnectionData,
+def dpq_residual(p: np.ndarray, q: np.ndarray, kappa: Form, C: ConnectionData,
                  L: LieAlgebra) -> float:
     """Max norm of the two derivative equations for (p, q)."""
     rp, rq = dpq_matrices(p, q, kappa, C, L)
-    return max(rp.norm_inf(), rq.norm_inf())
+    return max(max_abs(rp), max_abs(rq))
 
 
-def integrability_matrices(K: CurvatureData, p: FormMatrix, q: FormMatrix):
-    omega_s = kahler_form(K.n)
+def integrability_matrices(K: CurvatureData, p: np.ndarray, q: np.ndarray):
+    ext = DenseExterior(2 * K.n)
+    omega_s = ext.kahler()
     M, Lam = K.M, K.Lam
-    r1 = (wedge_matrix(M, p) - wedge_matrix(p, M)
-          + wedge_matrix(Lam, q) + wedge_matrix(q, Lam)
-          + 4.0 * q.scalar_wedge(omega_s))
-    r2 = (wedge_matrix(M, q) - wedge_matrix(q, M)
-          - wedge_matrix(Lam, p) - wedge_matrix(p, Lam)
-          - 4.0 * p.scalar_wedge(omega_s))
+    w21 = lambda X, Y: ext.wedge_matrix(X, Y, 2, 1)
+    w12 = lambda X, Y: ext.wedge_matrix(X, Y, 1, 2)
+    r1 = (w21(M, p) - w12(p, M) + w21(Lam, q) + w12(q, Lam)
+          + 4.0 * ext.wedge(omega_s, q, 2, 1))
+    r2 = (w21(M, q) - w12(q, M) - w21(Lam, p) - w12(p, Lam)
+          - 4.0 * ext.wedge(omega_s, p, 2, 1))
     return r1, r2
 
 
-def integrability_residual(K: CurvatureData, p: FormMatrix, q: FormMatrix) -> float:
+def integrability_residual(K: CurvatureData, p: np.ndarray, q: np.ndarray) -> float:
     """Max norm of the kappa-free integrability pair (three-form equations)."""
     r1, r2 = integrability_matrices(K, p, q)
-    return max(r1.norm_inf(), r2.norm_inf())
+    return max(max_abs(r1), max_abs(r2))
 
 
-def rotate(p: FormMatrix, q: FormMatrix, s: float):
+def rotate(p: np.ndarray, q: np.ndarray, s: float):
     """Gauge rotation R_s(p, q) = (p cos s + q sin s, -p sin s + q cos s)."""
     c, sn = math.cos(s), math.sin(s)
     return (p * c + q * sn, q * c - p * sn)
@@ -258,6 +245,6 @@ def all_residuals(L: LieAlgebra, B: AdaptedBasis, cand: PSKCandidate,
         "t_pq": tpq_residual(K, p, q),
         "w_pq": wpq_residual(K, p, q),
         "dpq": dpq_residual(p, q, cand.kappa, C, L),
-        "integrability_1": r1.norm_inf(),
-        "integrability_2": r2.norm_inf(),
+        "integrability_1": max_abs(r1),
+        "integrability_2": max_abs(r2),
     }

@@ -15,6 +15,10 @@ Schema:
 For parameter scans a bracket constant may be the string "c", "-c" or
 "<float>*c"; such files describe a one-parameter family.
 
+A bracket row (i, j, k), an Sa or Sb triple and a kappa index may each
+appear at most once; a repeat is a ParseError, also when one of two bracket
+rows on the same (i, j, k) is parametric.
+
 Every number must be a finite JSON number (not a bool or a string) of
 magnitude at most MAX_MAGNITUDE, and every index an integer; anything else
 is a ParseError.
@@ -89,12 +93,15 @@ def parse_algebra(obj: dict, allow_parameter: bool = False) -> AlgebraFile:
     _check(_is_int(n) and n >= 1, "'n' must be a positive integer")
     dim = 2 * n
     entries = []
+    seen = set()
     for row in _rows(obj, "brackets", 4, "[i, j, k, c]"):
         i, j, k, c = row
         _check(all(_is_int(x) for x in (i, j, k)),
                f"bracket indices must be integers in {row!r}")
         _check(1 <= i < j <= dim and 1 <= k <= dim,
                f"bracket indices out of range in {row!r}")
+        _check((i, j, k) not in seen, f"duplicate bracket row for ({i}, {j}, {k})")
+        seen.add((i, j, k))
         if isinstance(c, str):
             _check(allow_parameter, f"parametric constant {c!r} in a non-template file")
             continue
@@ -114,20 +121,22 @@ def _parse_candidate(obj: dict, n: int) -> PSKCandidate:
     _check(isinstance(obj, dict), "'candidate' must be an object")
 
     def tensor(name: str) -> SymTensor3:
-        triples = []
+        data = {}
         for row in _rows(obj, name, 4, "[i, j, k, value]"):
             i, j, k, v = row
             _check(all(_is_int(x) for x in (i, j, k)),
                    f"{name} indices must be integers")
             _check(1 <= i <= j <= k <= n,
                    f"{name} triple {row!r} must be sorted and within 1..{n}")
-            triples.append((i, j, k, _number(v, f"{name} value")))
-        return SymTensor3.from_triples(n, triples)
+            _check((i, j, k) not in data, f"duplicate {name} triple ({i}, {j}, {k})")
+            data[i, j, k] = _number(v, f"{name} value")
+        return SymTensor3(n, data)
 
     coeffs = {}
     for idx, v in _rows(obj, "kappa", 2, "[index, value]"):
         _check(_is_int(idx) and 1 <= idx <= 2 * n,
                f"kappa index {idx!r} out of range")
+        _check((idx,) not in coeffs, f"duplicate kappa index {idx}")
         coeffs[(idx,)] = _number(v, "kappa value")
     return PSKCandidate(tensor("Sa"), tensor("Sb"), Form(2 * n, 1, coeffs))
 

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .forms import DEFAULT_TOL, Form, ZeroTolerance, all_keys, wedge
+from .forms import DEFAULT_TOL, Form, ZeroTolerance, all_keys, sort_with_sign, wedge
 
 
 class NotExactError(Exception):
@@ -137,15 +137,22 @@ def ce_differential(L: LieAlgebra, x: Form) -> Form:
     return out
 
 
-def _d1_matrix(L: LieAlgebra) -> np.ndarray:
-    """Matrix of d from one-forms to two-forms in the canonical key ordering."""
-    pairs = all_keys(L.dim, 2)
-    index = {p: r for r, p in enumerate(pairs)}
-    D = np.zeros((len(pairs), L.dim))
+def d_matrix(L: LieAlgebra, k: int) -> np.ndarray:
+    """Matrix of d from k-forms to (k+1)-forms, over all_keys(L.dim, k) and
+    all_keys(L.dim, k + 1): column r is d of the r-th basis k-form, expanded
+    as a graded derivation from the d-table."""
+    keys = all_keys(L.dim, k)
+    index = {key: r for r, key in enumerate(all_keys(L.dim, k + 1))}
+    D = np.zeros((len(index), len(keys)))
     table = _d_table(L)
-    for col in range(L.dim):
-        for key, val in table[col].coeffs.items():
-            D[index[key], col] = val
+    for col, key in enumerate(keys):
+        for pos, idx in enumerate(key):
+            head, tail = key[:pos], key[pos + 1:]
+            parity = -1.0 if pos % 2 else 1.0
+            for rkey, val in table[idx - 1].coeffs.items():
+                sign, out = sort_with_sign(head + rkey + tail)
+                if sign:
+                    D[index[out], col] += parity * sign * val
     return D
 
 
@@ -153,7 +160,7 @@ def closed_one_forms(L: LieAlgebra, tol: float = 1e-12) -> list:
     """Orthonormal basis of the invariant closed one-forms: the right singular
     vectors of d beyond its rank, counting singular values above
     tol * (largest) as in scipy.linalg.null_space(D, rcond=tol)."""
-    D = _d1_matrix(L)
+    D = d_matrix(L, 1)
     if np.abs(D).max() == 0.0:
         basis = np.eye(L.dim)
     else:
@@ -179,7 +186,7 @@ def solve_primitive(L: LieAlgebra, omega: Form, tol: ZeroTolerance = DEFAULT_TOL
     if ce_differential(L, omega).norm_inf() > tol.bound(scale):
         raise ValueError("omega is not closed")
     pairs = all_keys(L.dim, 2)
-    D = _d1_matrix(L)
+    D = d_matrix(L, 1)
     w = np.array([omega.coeffs.get(p, 0.0) for p in pairs])
     x, *_ = np.linalg.lstsq(D, w, rcond=None)
     residual = float(np.abs(D @ x - w).max()) if len(w) else 0.0

@@ -6,8 +6,10 @@ residual entry is a polynomial of degree <= 2 in the unknowns, so the
 whole stacked system is compiled once into (constant, linear, quadratic)
 numpy data (r0, A, Q).  The compile reads these blocks off the bilinear
 structure of the equations on the dense exterior-algebra kernel of
-forms.py; residual_vector, which evaluates the equations through Form
-objects, is the reference it is tested against.  Evaluation and the exact
+forms.py, where the connection, the curvature and the residual equations
+already live.  residual_vector, the reference it is tested against,
+evaluates the equations directly at one point (x -> p, q -> wedges),
+without the compile's per-unknown basis.  Evaluation and the exact
 Jacobian then take one BLAS matrix-vector product with Q.
 
 When the invariant Kahler form has no invariant primitive the
@@ -27,20 +29,21 @@ from math import comb
 import numpy as np
 
 from .connection import ConnectionData, CurvatureData, ch_model, curvature, levi_civita
-from .forms import DenseExterior, Form, all_keys, kahler_form
+from .forms import DenseExterior, Form, kahler_form, max_abs
 from .intrinsic import (
     KAPPA_TERM_SIGN,
     PSKCandidate,
     SymTensor3,
     dpq_matrices,
     integrability_matrices,
+    j_action,
     pq_from_tensors,
     rotate_tensors,
     sym_triples,
     tpq_matrix,
     wpq_matrix,
 )
-from .lie import AdaptedBasis, LieAlgebra, NotExactError, _d1_matrix, solve_primitive
+from .lie import AdaptedBasis, LieAlgebra, NotExactError, d_matrix, solve_primitive
 
 
 @dataclass(frozen=True)
@@ -136,16 +139,6 @@ def build_geometry(L: LieAlgebra, B: AdaptedBasis, *, allow_nonexact: bool = Fal
 # -- residual stacking -------------------------------------------------
 
 
-def _flatten(matrices, keys) -> np.ndarray:
-    out = []
-    for mat in matrices:
-        for i in range(mat.rows):
-            for j in range(mat.cols):
-                coeffs = mat[i, j].coeffs
-                out.extend(coeffs.get(k, 0.0) for k in keys)
-    return np.asarray(out)
-
-
 def residual_vector(cand_or_x, geom: Geometry) -> np.ndarray:
     """Deterministic flattening of all residual forms for one candidate.
 
@@ -159,17 +152,12 @@ def residual_vector(cand_or_x, geom: Geometry) -> np.ndarray:
         x = np.asarray(cand_or_x, dtype=float)
     Sa, Sb, kappa = geom.unpack(x)
     p, q = pq_from_tensors(Sa, Sb)
-    m = geom.L.dim
-    two_keys = all_keys(m, 2)
     mats = [tpq_matrix(geom.curv, p, q), wpq_matrix(geom.curv, p, q)]
-    stacked = [_flatten(mats, two_keys)]
     if geom.exact:
-        rp, rq = dpq_matrices(p, q, kappa, geom.conn, geom.L)
-        stacked.append(_flatten([rp, rq], two_keys))
+        mats += dpq_matrices(p, q, kappa, geom.conn, geom.L)
     else:
-        r1, r2 = integrability_matrices(geom.curv, p, q)
-        stacked.append(_flatten([r1, r2], all_keys(m, 3)))
-    return np.concatenate(stacked)
+        mats += integrability_matrices(geom.curv, p, q)
+    return np.concatenate([mat.ravel() for mat in mats])
 
 
 def _q_basis(n: int) -> np.ndarray:
@@ -203,7 +191,7 @@ class CompiledResidual:
         T, d = 2 * t, geom.n_unknowns
         ext = DenseExterior(m)
         qs = _q_basis(n)
-        ps = np.concatenate([-qs[..., n:], qs[..., :n]], axis=-1)
+        ps = j_action(qs)
         c2 = comb(m, 2)
         block = n * n * c2
         second = n * n * comb(m, 2 if geom.exact else 3)
@@ -212,8 +200,8 @@ class CompiledResidual:
 
         # Curvature pair: M + p^p + q^q = M_CH and Lam + p^q - q^p = Lam_CH.
         model = ch_model(n)
-        r0[:block] = ext.dense_matrix(geom.curv.M - model.M).ravel()
-        r0[block:2 * block] = ext.dense_matrix(geom.curv.Lam - model.Lam).ravel()
+        r0[:block] = (geom.curv.M - model.M).ravel()
+        r0[block:2 * block] = (geom.curv.Lam - model.Lam).ravel()
 
         def write_symmetrised(start, X1, Y1, X2, Y2, sign):
             prod = (ext.pair_wedge_matrix(X1, Y1, 1, 1)
@@ -232,8 +220,8 @@ class CompiledResidual:
         # with (p, q) -> (q, -p).
         rows = [slice(2 * block, 2 * block + second), slice(2 * block + second, R)]
         if geom.exact:
-            D = _d1_matrix(geom.L)
-            mu, lam = ext.dense_matrix(geom.conn.mu), ext.dense_matrix(geom.conn.lam)
+            D = d_matrix(geom.L, 1)
+            mu, lam = geom.conn.mu, geom.conn.lam
             kappa0 = ext.dense(geom.kappa0)
             ks = np.array([ext.dense(f) for f in geom.kernel]).reshape(-1, 1, 1, 1, m)
             wm = lambda X, Y: ext.wedge_matrix(X, Y, 1, 1)
@@ -248,8 +236,8 @@ class CompiledResidual:
                 Q[rs, :T, T:] = cross.transpose(2, 1, 0)
                 Q[rs, T:, :T] = cross.transpose(2, 0, 1)
         else:
-            M, Lam = ext.dense_matrix(geom.curv.M), ext.dense_matrix(geom.curv.Lam)
-            omega = ext.dense(kahler_form(n))
+            M, Lam = geom.curv.M, geom.curv.Lam
+            omega = ext.kahler()
             for rs, (p_, q_) in zip(rows, ((ps, qs), (qs, -ps))):
                 # M^p - p^M + Lam^q + q^Lam + 4 omega^q
                 lin = (ext.wedge_matrix(M, p_, 2, 1) - ext.wedge_matrix(p_, M, 1, 2)
@@ -340,16 +328,16 @@ def _gauge_angle(Sa: SymTensor3, Sb: SymTensor3):
 def _per_equation(geom: Geometry, Sa, Sb, kappa) -> dict:
     p, q = pq_from_tensors(Sa, Sb)
     out = {
-        "t_pq": tpq_matrix(geom.curv, p, q).norm_inf(),
-        "w_pq": wpq_matrix(geom.curv, p, q).norm_inf(),
+        "t_pq": max_abs(tpq_matrix(geom.curv, p, q)),
+        "w_pq": max_abs(wpq_matrix(geom.curv, p, q)),
     }
     if geom.exact:
         rp, rq = dpq_matrices(p, q, kappa, geom.conn, geom.L)
-        out["d_p"] = rp.norm_inf()
-        out["d_q"] = rq.norm_inf()
+        out["d_p"] = max_abs(rp)
+        out["d_q"] = max_abs(rq)
     r1, r2 = integrability_matrices(geom.curv, p, q)
-    out["integrability_1"] = r1.norm_inf()
-    out["integrability_2"] = r2.norm_inf()
+    out["integrability_1"] = max_abs(r1)
+    out["integrability_2"] = max_abs(r2)
     return out
 
 

@@ -39,6 +39,11 @@ from pskmap.intrinsic import SymTensor3, all_residuals, pq_from_tensors, rotate_
 from pskmap.io import save_algebra_file
 from pskmap.lie import solve_primitive
 
+
+def _base_form(x):
+    """A dense base one-form (a row of p or q) as a Form."""
+    return Form(len(x), 1, {(k + 1,): v for k, v in enumerate(x)})
+
 # Monomials t^k cos^a sin^b with negative t powers and unreduced sin powers;
 # the public constructor reduces them to canonical form.
 monomials = st.tuples(st.integers(-3, 3), st.integers(0, 3), st.integers(0, 3))
@@ -210,10 +215,10 @@ class TestEta:
         for i in range(2):
             for j in range(2):
                 u0 = eta.u[i, j].eval_at(1.0, 0.0)
-                lifted = CForm.from_form(p[i, j], CA.m).eval_at(1.0, 0.0)
+                lifted = CForm.from_form(_base_form(p[i, j]), CA.m).eval_at(1.0, 0.0)
                 assert (u0 - lifted).norm_inf() < 1e-14
                 v0 = eta.v[i, j].eval_at(1.0, 0.0)
-                lifted_q = CForm.from_form(q[i, j], CA.m).eval_at(1.0, 0.0)
+                lifted_q = CForm.from_form(_base_form(q[i, j]), CA.m).eval_at(1.0, 0.0)
                 assert (v0 - lifted_q).norm_inf() < 1e-14
 
     def test_quarter_z_slice(self):
@@ -224,8 +229,8 @@ class TestEta:
         p, q = pq_from_tensors(cand.Sa, cand.Sb)
         eta = eta_from_pq(CA, p, q)
         u = eta.u[0, 1].eval_at(1.0, math.pi / 8)
-        expect = (CForm.from_form(p[0, 1], CA.m).eval_at(1.0, 0.0)
-                  - CForm.from_form(q[0, 1], CA.m).eval_at(1.0, 0.0)) * (1 / math.sqrt(2))
+        expect = (CForm.from_form(_base_form(p[0, 1]), CA.m).eval_at(1.0, 0.0)
+                  - CForm.from_form(_base_form(q[0, 1]), CA.m).eval_at(1.0, 0.0)) * (1 / math.sqrt(2))
         assert (u - expect).norm_inf() < 1e-12
 
     def test_zero_candidate_zero_eta(self):

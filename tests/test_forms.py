@@ -1,15 +1,16 @@
+import numpy as np
 import pytest
 
 from pskmap.forms import (
+    DenseExterior,
     Form,
-    FormMatrix,
     ZeroTolerance,
-    apply_J,
     interior,
     kahler_form,
+    max_abs,
     wedge,
-    wedge_matrix,
 )
+from pskmap.intrinsic import j_action
 
 from conftest import random_form
 
@@ -69,63 +70,95 @@ class TestWedge:
 
 
 class TestWedgeMatrix:
+    """DenseExterior.wedge_matrix: the matrix product with the wedge."""
+
     def test_one_form_square_vanishes(self):
-        alpha = FormMatrix([[a(1, 1) + 2.0 * b(1, 1)]])
-        assert wedge_matrix(alpha, alpha).norm_inf() == 0.0
+        ext = DenseExterior(2)
+        alpha = ext.dense(a(1, 1) + 2.0 * b(1, 1)).reshape(1, 1, 2)
+        assert max_abs(ext.wedge_matrix(alpha, alpha, 1, 1)) == 0.0
 
     def test_product_example_entry(self):
         # p = [[b2, b1], [b1, 0]], q = [[a2, a1], [a1, 0]]
+        ext = DenseExterior(4)
         z = Form.zero(4, 1)
-        p = FormMatrix([[b(2, 2), b(2, 1)], [b(2, 1), z]])
-        q = FormMatrix([[a(2, 2), a(2, 1)], [a(2, 1), z]])
-        pq = wedge_matrix(p, q)
-        entry = pq[0, 0]
-        expected = wedge(b(2, 2), a(2, 2)) + wedge(b(2, 1), a(2, 1))
-        assert (entry - expected).norm_inf() == 0.0
+        p = np.array([[ext.dense(f) for f in row]
+                      for row in ((b(2, 2), b(2, 1)), (b(2, 1), z))])
+        q = np.array([[ext.dense(f) for f in row]
+                      for row in ((a(2, 2), a(2, 1)), (a(2, 1), z))])
+        entry = ext.wedge_matrix(p, q, 1, 1)[0, 0]
+        expected = ext.dense(wedge(b(2, 2), a(2, 2)) + wedge(b(2, 1), a(2, 1)))
+        assert max_abs(entry - expected) == 0.0
 
     def test_identity_is_unit(self, rng):
-        ident = FormMatrix.identity(4, 2)
-        mat = FormMatrix([[random_form(rng, 4, 1) for _ in range(2)] for _ in range(2)])
-        assert (wedge_matrix(ident, mat) - mat).norm_inf() == 0.0
-        assert (wedge_matrix(mat, ident) - mat).norm_inf() == 0.0
+        ext = DenseExterior(4)
+        ident = np.eye(2)[:, :, None]          # degree-0 forms: one key
+        mat = np.array([[ext.dense(random_form(rng, 4, 1)) for _ in range(2)]
+                        for _ in range(2)])
+        assert max_abs(ext.wedge_matrix(ident, mat, 0, 1) - mat) == 0.0
+        assert max_abs(ext.wedge_matrix(mat, ident, 1, 0) - mat) == 0.0
 
     def test_shape_mismatch(self):
-        one = FormMatrix.identity(4, 2)
-        col = FormMatrix([[Form.basis(4, 1)], [Form.basis(4, 2)], [Form.basis(4, 3)]])
+        ext = DenseExterior(4)
+        one = np.eye(2)[:, :, None]
+        col = np.eye(4)[:3, None, :]
         with pytest.raises(ValueError):
-            wedge_matrix(one, col)
+            ext.wedge_matrix(one, col, 0, 1)
+
+
+class TestDenseExterior:
+    def test_wedge_matches_form_wedge_random(self, rng):
+        for _ in range(120):
+            m = int(rng.integers(4, 9))
+            dx, dy = int(rng.integers(0, 4)), int(rng.integers(0, 4))
+            x = random_form(rng, m, dx) if dx else Form(m, 0, {(): 1.5})
+            y = random_form(rng, m, dy) if dy else Form(m, 0, {(): -0.5})
+            ext = DenseExterior(m)
+            got = ext.wedge(ext.dense(x), ext.dense(y), dx, dy)
+            assert max_abs(got - ext.dense(wedge(x, y))) < 1e-12
+
+    def test_wedge_broadcasts_over_leading_axes(self, rng):
+        ext = DenseExterior(5)
+        xs = [random_form(rng, 5, 1) for _ in range(3)]
+        y = random_form(rng, 5, 2)
+        got = ext.wedge(np.array([ext.dense(x) for x in xs]), ext.dense(y), 1, 2)
+        for x, row in zip(xs, got):
+            assert max_abs(row - ext.dense(wedge(x, y))) < 1e-12
+
+    def test_basis_and_kahler(self):
+        ext = DenseExterior(4)
+        assert max_abs(ext.basis(3, 1) + ext.dense(Form.basis(4, 1, 3))) == 0.0
+        assert max_abs(ext.basis(2, 2)) == 0.0
+        assert max_abs(ext.kahler() - ext.dense(kahler_form(2))) == 0.0
+
+    def test_max_abs_of_empty_array_is_zero(self):
+        assert max_abs(np.zeros((1, 1, 0))) == 0.0
 
 
 class TestApplyJ:
+    """J on one-forms, a^i -> b^i and b^i -> -a^i: intrinsic.j_action on
+    dense (..., 2n) arrays."""
+
     def test_a_to_b(self):
-        assert (apply_J(a(1, 1)) - b(1, 1)).norm_inf() == 0.0
+        ext = DenseExterior(2)
+        assert max_abs(j_action(ext.dense(a(1, 1))) - ext.dense(b(1, 1))) == 0.0
 
     def test_squares_to_minus_one(self):
-        x = a(2, 1)
-        assert (apply_J(apply_J(x)) + x).norm_inf() == 0.0
+        x = DenseExterior(4).dense(a(2, 1))
+        assert max_abs(j_action(j_action(x)) + x) == 0.0
 
     def test_linearity(self):
-        x = 2.0 * a(2, 1) + 3.0 * b(2, 2)
-        expect = 2.0 * b(2, 1) - 3.0 * a(2, 2)
-        assert (apply_J(x) - expect).norm_inf() == 0.0
-
-    def test_rejects_higher_degree(self):
-        with pytest.raises(ValueError):
-            apply_J(kahler_form(1))
-
-    def test_cone_rotation(self):
-        phi = Form.basis(4, 3)
-        psi = Form.basis(4, 4)
-        assert (apply_J(phi, cone=True) - psi).norm_inf() == 0.0
-        assert (apply_J(psi, cone=True) + phi).norm_inf() == 0.0
+        ext = DenseExterior(4)
+        x = ext.dense(2.0 * a(2, 1) + 3.0 * b(2, 2))
+        expect = ext.dense(2.0 * b(2, 1) - 3.0 * a(2, 2))
+        assert max_abs(j_action(x) - expect) == 0.0
 
     def test_kahler_form_invariant(self, rng):
         for n in (1, 2, 3):
-            omega = kahler_form(n)
-            rebuilt = Form.zero(2 * n, 2)
-            for i in range(1, n + 1):
-                rebuilt = rebuilt + wedge(apply_J(a(n, i)), apply_J(b(n, i)))
-            assert (rebuilt - omega).norm_inf() == 0.0
+            ext = DenseExterior(2 * n)
+            coframe = np.eye(2 * n)
+            rebuilt = sum(ext.wedge(j_action(coframe[i]), j_action(coframe[n + i]), 1, 1)
+                          for i in range(n))
+            assert max_abs(rebuilt - ext.dense(kahler_form(n))) == 0.0
 
 
 class TestInterior:

@@ -63,7 +63,8 @@ class TestAlgebraFile:
 
 
 def _malformed(edit):
-    obj = json.loads(open(fixture("four_dim.json")).read())
+    with open(fixture("four_dim.json"), encoding="utf-8") as fh:
+        obj = json.load(fh)
     edit(obj)
     return obj
 
@@ -78,6 +79,11 @@ MALFORMED = {
     "kappa_inf": lambda o: o["candidate"]["kappa"][0].__setitem__(1, float("inf")),
     "tensor_string": lambda o: o["candidate"]["Sa"][0].__setitem__(3, "abc"),
     "n_bool": lambda o: o.__setitem__("n", True),
+    "bracket_duplicate_row": lambda o: o["brackets"].append(list(o["brackets"][0])),
+    "Sa_duplicate_triple": lambda o: o["candidate"]["Sa"].append([1, 1, 2, 5.0]),
+    "Sb_duplicate_triple": lambda o: o["candidate"]["Sb"].extend([[1, 2, 2, 1.0],
+                                                                  [1, 2, 2, 2.0]]),
+    "kappa_duplicate_index": lambda o: o["candidate"]["kappa"].append([3, 0.5]),
 }
 
 
@@ -91,6 +97,20 @@ def test_malformed_numbers_and_fields_exit_2(case, command, tmp_path, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("error: ") and "Traceback" not in captured.err
+
+
+@pytest.mark.parametrize("rows", [
+    [[1, 2, 2, "-c"], [1, 2, 2, -1.0]],       # a fixed and a parametric constant
+    [[1, 2, 2, "-c"], [1, 2, 2, "2*c"]],      # two parametric constants
+    [[1, 2, 2, -1.0], [1, 2, 2, -1.0], [1, 2, 2, "c"]],
+], ids=["fixed_and_parametric", "two_parametric", "two_fixed"])
+def test_template_duplicate_rows_exit_2(rows, tmp_path, capsys):
+    path = tmp_path / "template.json"
+    path.write_text(json.dumps({"n": 1, "brackets": rows}))
+    assert main(["scan", str(path), "--values", "2.0", "--starts", "2", "--seed", "1"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and "duplicate" in captured.err
 
 
 class TestCLI:
@@ -175,7 +195,8 @@ class TestCLI:
         assert main(["cone-verify", fixture("ch1_c2.json")]) == 0
 
     def test_cone_verify_perturbed_kappa(self, tmp_path, capsys):
-        obj = json.loads(open(fixture("four_dim.json")).read())
+        with open(fixture("four_dim.json"), encoding="utf-8") as fh:
+            obj = json.load(fh)
         obj["candidate"]["kappa"] = [[3, 1.0], [4, 0.5]]  # wrong scale on b1
         path = tmp_path / "bad_kappa.json"
         path.write_text(json.dumps(obj))

@@ -4,22 +4,24 @@ import numpy as np
 import pytest
 
 from pskmap.catalog import (
+    _unitary_conjugation,
     abelian,
     ch1,
     ch1_cubed,
     ch1_product,
     complex_hyperbolic,
+    conjugate_algebra,
     flat_plus_ch1,
     four_dim_example,
     random_kahler_algebra,
 )
-from pskmap.forms import Form, kahler_form, wedge
+from pskmap.forms import DenseExterior, Form, all_keys, kahler_form, max_abs, wedge
 from pskmap.lie import (
     LieAlgebra,
     NotExactError,
-    _d1_matrix,
     ce_differential,
     closed_one_forms,
+    d_matrix,
     jacobi_residual,
     solve_primitive,
 )
@@ -81,6 +83,45 @@ class TestDifferential:
         assert count >= 100
 
 
+def _rotated_ch1_power(n):
+    cs = [1.5, 2.5, 2.0][:n]
+    L, _ = ch1_product(cs)
+    return conjugate_algebra(L, _unitary_conjugation(n, np.random.default_rng(40 + n)))
+
+
+# The catalog algebras plus CH(1)^n in a random unitary frame, n = 1..3.
+D_MATRIX_ALGEBRAS = {
+    "four_dim": lambda: four_dim_example()[0],
+    "ch1": lambda: ch1(2.0)[0],
+    "ch1_cubed": lambda: ch1_cubed(2.0)[0],
+    "flat_plus_ch1": lambda: flat_plus_ch1(2.0)[0],
+    "abelian": lambda: abelian(2)[0],
+    **{f"ch{n}_model": (lambda n=n: complex_hyperbolic(n)[0]) for n in (1, 2, 3, 4)},
+    **{f"rotated_ch1_pow{n}": (lambda n=n: _rotated_ch1_power(n)) for n in (1, 2, 3)},
+}
+
+
+class TestDMatrix:
+    @pytest.mark.parametrize("name", D_MATRIX_ALGEBRAS)
+    def test_squares_to_zero(self, name):
+        L = D_MATRIX_ALGEBRAS[name]()
+        bound = 1e-12 * (1.0 + L.max_constant()) ** 2
+        for k in range(1, L.dim - 1):
+            assert max_abs(d_matrix(L, k + 1) @ d_matrix(L, k)) < bound
+
+    @pytest.mark.parametrize("name", D_MATRIX_ALGEBRAS)
+    def test_matches_ce_differential_on_basis_forms(self, name):
+        L = D_MATRIX_ALGEBRAS[name]()
+        ext = DenseExterior(L.dim)
+        bound = 1e-12 * (1.0 + L.max_constant())
+        for k in range(1, L.dim):
+            D = d_matrix(L, k)
+            assert D.shape == (len(all_keys(L.dim, k + 1)), len(all_keys(L.dim, k)))
+            for col, key in enumerate(all_keys(L.dim, k)):
+                expect = ext.dense(ce_differential(L, Form.basis(L.dim, *key)))
+                assert max_abs(D[:, col] - expect) < bound
+
+
 class TestSolvePrimitive:
     def test_ch1(self):
         L, _ = ch1(2.0)
@@ -132,7 +173,7 @@ def test_closed_one_forms_match_scipy_null_space():
     algebras += [random_kahler_algebra(n, rng)[0] for n in (1, 2, 3, 4) for _ in range(3)]
     algebras += [random_kahler_algebra(3, rng, rotate=False)[0]]
     for L in algebras:
-        D = _d1_matrix(L)
+        D = d_matrix(L, 1)
         ref = np.eye(L.dim) if not D.any() else linalg.null_space(D, rcond=1e-12)
         expect = [Form(L.dim, 1, {(i + 1,): ref[i, c] for i in range(L.dim)})
                   for c in range(ref.shape[1])]

@@ -2,12 +2,14 @@
 
 Each case monkeypatches one mistake into the library and asserts which
 check fails.  The Koszul and d-table cases are caught by levi_civita's own
-structure equation; the kappa-sign case by the intrinsic residuals alone,
-so the oracle (which has no such sign) disagrees with them as acceptance 6
-would report; the exponential-sign case by the twist's invariance check.
+structure equation; the kappa-sign and curvature cases by the intrinsic
+residuals alone, so the oracle (which has no such sign and computes its own
+base curvature) disagrees with them as acceptance 6 would report; the
+exponential-sign case by the twist's invariance check.
 """
 
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -20,18 +22,15 @@ from pskmap.catalog import ch1, ch1_candidate, four_dim_candidate, four_dim_exam
 from pskmap.cmap import NonConstantError, qk_algebra
 from pskmap.cone import oracle_residual
 from pskmap.connection import levi_civita
-from pskmap.forms import Form, FormMatrix
 from pskmap.intrinsic import all_residuals
 
 
 def test_koszul_sign_flip_caught_by_structure_equation(monkeypatch):
     def bad_koszul(L):
         # the last term of gamma = (c_ijk - c_jki + c_kij) / 2 with its sign flipped
-        m = L.dim
         c = L.constants()
         gamma = 0.5 * (c - np.einsum("jki->ijk", c) - np.einsum("kij->ijk", c))
-        return FormMatrix([[Form(m, 1, {(i + 1,): gamma[i, j, k] for i in range(m)})
-                            for j in range(m)] for k in range(m)])
+        return gamma.transpose(2, 1, 0)
 
     L, B = four_dim_example()
     levi_civita(L, B)
@@ -62,6 +61,29 @@ def test_kappa_term_sign_caught_by_intrinsic_residuals_only(monkeypatch):
     cand = ch1_candidate(c)
     assert max(all_residuals(L, B, cand).values()) < 1e-9
     monkeypatch.setattr(intrinsic_module, "KAPPA_TERM_SIGN", -1.0)
+    assert max(all_residuals(L, B, cand).values()) > 1e-3
+    assert oracle_residual(L, B, cand) < 1e-9
+
+
+@pytest.mark.parametrize("case", ["ch1_curved", "four_dim"])
+def test_curvature_lam_scale_caught_by_intrinsic_residuals_only(monkeypatch, case):
+    # The oracle builds its base curvature from the lifted mu and lam itself,
+    # so a wrong Lam in connection.curvature reaches the intrinsic side only.
+    if case == "ch1_curved":
+        c = 2.0 / math.sqrt(3.0)
+        (L, B), cand = ch1(c), ch1_candidate(c)
+    else:
+        (L, B), cand = four_dim_example(), four_dim_candidate()
+    assert max(all_residuals(L, B, cand).values()) < 1e-9
+    original = connection_module.curvature
+
+    def bad_curvature(C, L):
+        K = original(C, L)
+        return connection_module.CurvatureData(K.M, 1.05 * K.Lam)
+
+    for name, module in list(sys.modules.items()):
+        if name.split(".")[0] == "pskmap" and getattr(module, "curvature", None) is original:
+            monkeypatch.setattr(module, "curvature", bad_curvature)
     assert max(all_residuals(L, B, cand).values()) > 1e-3
     assert oracle_residual(L, B, cand) < 1e-9
 

@@ -1,9 +1,10 @@
 import math
+import sys
 
 import numpy as np
 import pytest
 
-from pskmap import lie, solver
+from pskmap import forms, lie, solver
 from pskmap.catalog import (
     _unitary_conjugation,
     ch1,
@@ -17,9 +18,11 @@ from pskmap.catalog import (
     four_dim_candidate,
     four_dim_example,
 )
-from pskmap.intrinsic import PSKCandidate, rotate_tensors
+from pskmap.connection import curvature, levi_civita
+from pskmap.intrinsic import PSKCandidate, all_residuals, rotate_tensors
 from pskmap.lie import NotExactError
 from pskmap.solver import (
+    CompiledResidual,
     SolveConfig,
     build_geometry,
     certify_gauge_orbit,
@@ -107,6 +110,32 @@ class TestResidualVector:
             build_geometry(L, B)
         geom = build_geometry(L, B, allow_nonexact=True)
         assert not geom.exact
+
+
+@pytest.mark.parametrize("name", ["four_dim", "flat_plus_ch1"])
+def test_intrinsic_side_never_calls_form_kernel(monkeypatch, rng, name):
+    # The connection, curvature, residuals and compile run on the dense
+    # kernel; the Form wedge and differential are left to the boundaries.
+    geom = GEOMETRIES[name]()
+    calls = []
+    for target in (forms.wedge, lie.ce_differential):
+        def counted(*args, _f=target, **kwargs):
+            calls.append(_f.__name__)
+            return _f(*args, **kwargs)
+
+        for module_name, module in list(sys.modules.items()):
+            if (module_name.split(".")[0] == "pskmap"
+                    and getattr(module, target.__name__, None) is target):
+                monkeypatch.setattr(module, target.__name__, counted)
+    L, B = geom.L, geom.B
+    conn = levi_civita(L, B)
+    K = curvature(conn, L)
+    if geom.exact:
+        all_residuals(L, B, four_dim_candidate(), conn, K)
+        all_residuals(L, B, four_dim_candidate())
+    residual_vector(rng.standard_normal(geom.n_unknowns), geom)
+    CompiledResidual(geom)
+    assert calls == []
 
 
 class TestJacobian:
