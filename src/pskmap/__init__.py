@@ -3,20 +3,11 @@ verification of the intrinsic equations, an independent cone-level
 oracle, numerical candidate discovery, and the c-map to quaternionic
 Kahler algebras of dimension 4n+4."""
 
-from .forms import (
-    DEFAULT_TOL,
-    Form,
-    FormMatrix,
-    ZeroTolerance,
-    interior,
-    kahler_form,
-    wedge,
-)
+from .forms import DEFAULT_TOL, ZeroTolerance
 from .lie import (
     AdaptedBasis,
     LieAlgebra,
     NotExactError,
-    ce_differential,
     closed_one_forms,
     jacobi_residual,
     solve_primitive,

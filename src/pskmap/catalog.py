@@ -6,7 +6,6 @@ import math
 
 import numpy as np
 
-from .forms import Form
 from .intrinsic import PSKCandidate, SymTensor3
 from .lie import AdaptedBasis, LieAlgebra
 
@@ -68,15 +67,14 @@ def ch1_candidate(c: float, gauge: float = 0.0) -> PSKCandidate:
     x = math.sqrt(max(0.0, (4.0 - c * c) / 2.0))
     sa = SymTensor3.from_triples(1, [(1, 1, 1, x * math.cos(gauge))])
     sb = SymTensor3.from_triples(1, [(1, 1, 1, -x * math.sin(gauge))])
-    kappa = Form(2, 1, {(2,): 1.0 / c})
-    return PSKCandidate(sa, sb, kappa)
+    return PSKCandidate(sa, sb, np.array([0.0, 1.0 / c]))
 
 
 def ch1_flat_candidate(c: float = 2.0) -> PSKCandidate:
     """The zero candidate (flat special cone) on CH(1)."""
     sa = SymTensor3.zero(1)
     sb = SymTensor3.zero(1)
-    return PSKCandidate(sa, sb, Form(2, 1, {(2,): 1.0 / c}))
+    return PSKCandidate(sa, sb, np.array([0.0, 1.0 / c]))
 
 
 def four_dim_candidate() -> PSKCandidate:
@@ -85,8 +83,7 @@ def four_dim_candidate() -> PSKCandidate:
     kappa = b1/sqrt(2) + b2/2."""
     sa = SymTensor3.from_triples(2, [(1, 1, 2, 1.0)])
     sb = SymTensor3.zero(2)
-    kappa = Form(4, 1, {(3,): 1.0 / math.sqrt(2.0), (4,): 0.5})
-    return PSKCandidate(sa, sb, kappa)
+    return PSKCandidate(sa, sb, np.array([0.0, 0.0, 1.0 / math.sqrt(2.0), 0.5]))
 
 
 def ch1_cubed_candidate() -> PSKCandidate:
@@ -94,13 +91,13 @@ def ch1_cubed_candidate() -> PSKCandidate:
     q_{AB} = a_C cyclically, kappa = (b1 + b2 + b3)/2."""
     sa = SymTensor3.from_triples(3, [(1, 2, 3, 1.0)])
     sb = SymTensor3.zero(3)
-    kappa = Form(6, 1, {(4,): 0.5, (5,): 0.5, (6,): 0.5})
-    return PSKCandidate(sa, sb, kappa)
+    return PSKCandidate(sa, sb, np.array([0.0, 0.0, 0.0, 0.5, 0.5, 0.5]))
 
 
 def complex_hyperbolic_candidate(n: int) -> PSKCandidate:
     """Flat-cone candidate on the CH(n) model: zero tensors, kappa = -b1/2."""
-    kappa = Form(2 * n, 1, {(n + 1,): -0.5})
+    kappa = np.zeros(2 * n)
+    kappa[n] = -0.5
     return PSKCandidate(SymTensor3.zero(n), SymTensor3.zero(n), kappa)
 
 

@@ -2,7 +2,8 @@
 
 Exit codes: 0 all checks pass, 1 residual failure, 2 parse/usage error,
 3 precondition failure (not Kahler / Kahler form not exact / bad kappa),
-4 candidate is not projective special Kahler (c-map refused).
+4 candidate is not projective special Kahler (c-map refused), 5 internal
+error (any other exception, reported as one line on stderr).
 """
 
 from __future__ import annotations
@@ -39,6 +40,7 @@ EXIT_RESIDUAL = 1
 EXIT_PARSE = 2
 EXIT_PRECONDITION = 3
 EXIT_NOT_PSK = 4
+EXIT_INTERNAL = 5
 
 
 def _env_seed() -> int:
@@ -271,6 +273,9 @@ def main(argv=None) -> int:
     except (NotExactError, NotKahlerError, DSquaredError, ValueError) as exc:
         print(f"precondition: {exc}", file=sys.stderr)
         return EXIT_PRECONDITION
+    except Exception as exc:
+        print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return EXIT_INTERNAL
 
 
 if __name__ == "__main__":

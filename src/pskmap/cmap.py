@@ -33,12 +33,12 @@ from .cone import (
     eta_from_pq,
 )
 from .connection import ConnectionData, levi_civita
-from .forms import Form, all_keys, max_abs, wedge
+from .forms import all_keys, max_abs, sort_with_sign
 from .intrinsic import PSKCandidate, all_residuals, pq_from_tensors
 from .lie import (
     AdaptedBasis,
     LieAlgebra,
-    ce_differential,
+    d_matrix,
     derived_series_dims,
     is_completely_solvable,
     jacobi_residual,
@@ -204,7 +204,6 @@ class QKStructure:
     gram: np.ndarray
     omega_triple: tuple
     jacobi: float
-    d_forms: tuple
 
     @property
     def dim(self) -> int:
@@ -295,7 +294,7 @@ def verify_hyperkahler_frame(TF: TwistFrame) -> dict:
 
     def endomorphism(f: CForm) -> np.ndarray:
         E = np.zeros((m, m))
-        for (r, s), v in f.eval_at(1.0, 0.0).coeffs.items():
+        for (r, s), v in zip(all_keys(m, 2), f.eval_at(1.0, 0.0)):
             E[s - 1, r - 1] = v / gram[s - 1]
             E[r - 1, s - 1] = -v / gram[r - 1]
         return E
@@ -314,7 +313,7 @@ def verify_hyperkahler_frame(TF: TwistFrame) -> dict:
     }
 
 
-def _constant_or_raise(name: str, f: CForm, tol: float, scale: float) -> Form:
+def _constant_or_raise(name: str, f: CForm, tol: float, scale: float) -> np.ndarray:
     bad = f.nonconstant_norm()
     if bad > tol * scale:
         raise NonConstantError(
@@ -364,10 +363,9 @@ def qk_algebra(L: LieAlgebra, B: AdaptedBasis, cand: PSKCandidate,
         d_out.append(_constant_or_raise(f"d_Q of generator {idx + 1}", rewritten,
                                         1e-9, scale))
 
-    entries = []
-    for g, f in enumerate(d_out, start=1):
-        for (alpha, beta), coeff in f.coeffs.items():
-            entries.append((alpha, beta, g, -coeff))
+    keys = all_keys(m, 2)
+    entries = [(*keys[r], g, -f[r]) for g, f in enumerate(d_out, start=1)
+               for r in np.flatnonzero(f)]
     out = LieAlgebra.from_brackets(m, entries)
     jac = jacobi_residual(out)
     if jac > 1e-9 * (1.0 + out.max_constant()) ** 2:
@@ -381,7 +379,6 @@ def qk_algebra(L: LieAlgebra, B: AdaptedBasis, cand: PSKCandidate,
         gram=2.0 * np.eye(m),
         omega_triple=omega_triple,
         jacobi=jac,
-        d_forms=tuple(d_out),
     )
 
 
@@ -441,33 +438,36 @@ class QKReport:
 
 def sp1_fit_residual(Q: QKStructure) -> float:
     """Least-squares fit of connection one-forms alpha_I, alpha_J, alpha_K to
-    d(omega_i) = sum_{jk} eps_ijk alpha_j ^ omega_k in the output algebra."""
+    d(omega_i) = sum_{jk} eps_ijk alpha_j ^ omega_k in the output algebra.
+
+    The e^g ^ omega_k columns are built from omega_k's non-zero keys, so no
+    dense (1, 2) sign table of the 4n+4 generators is materialised."""
     L = Q.algebra
     m = L.dim
-    omegas = list(Q.omega_triple)
-    d_omegas = [ce_differential(L, w) for w in omegas]
+    omegas = Q.omega_triple
+    D2 = d_matrix(L, 2)
+    keys2 = all_keys(m, 2)
     keys3 = all_keys(m, 3)
     key_index = {k: r for r, k in enumerate(keys3)}
     rows = 3 * len(keys3)
     cols = 3 * m
     A = np.zeros((rows, cols))
-    b = np.zeros(rows)
+    b = np.concatenate([D2 @ w for w in omegas])
     eps = {(0, 1, 2): 1.0, (1, 2, 0): 1.0, (2, 0, 1): 1.0,
            (0, 2, 1): -1.0, (2, 1, 0): -1.0, (1, 0, 2): -1.0}
     for i in range(3):
         base = i * len(keys3)
-        for key, val in d_omegas[i].coeffs.items():
-            b[base + key_index[key]] = val
         for j in range(3):
             for k in range(3):
                 sign = eps.get((i, j, k))
                 if not sign:
                     continue
-                for gen in range(m):
-                    contrib = wedge(Form.basis(m, gen + 1), omegas[k])
-                    col = j * m + gen
-                    for key, val in contrib.coeffs.items():
-                        A[base + key_index[key], col] += sign * val
+                for r in np.flatnonzero(omegas[k]):
+                    val = omegas[k][r]
+                    for gen in range(1, m + 1):
+                        s, key = sort_with_sign((gen,) + keys2[r])
+                        if s:
+                            A[base + key_index[key], j * m + gen - 1] += sign * s * val
     sol, *_ = np.linalg.lstsq(A, b, rcond=None)
     return float(np.abs(A @ sol - b).max())
 

@@ -4,7 +4,7 @@ The cone over the group is modelled as a graded differential algebra on
 generators (a~^i, b~^i, phi, psi) with coefficients in a ring of finite
 sums r * t^k * cos^a(tau) * sin^b(tau).  Differentiation rules:
 
-    d(a~), d(b~)  from the base algebra,
+    d(a~), d(b~)  read off the base algebra's brackets,
     d(phi) = 2 omega~_S,         d(psi) = 0  (psi = dt),
     d(t)   = psi,                d(tau) = phi - 2 kappa~.
 
@@ -32,9 +32,9 @@ from functools import cached_property
 import numpy as np
 
 from .connection import ConnectionData
-from .forms import Form, FormMatrix, max_abs, sort_with_sign
+from .forms import all_keys, max_abs, sort_with_sign
 from .intrinsic import pq_from_tensors
-from .lie import AdaptedBasis, LieAlgebra, _d_table, check_adapted
+from .lie import AdaptedBasis, LieAlgebra, check_adapted
 
 PRUNE = 1e-14
 
@@ -292,13 +292,6 @@ class CForm:
             return cls.zero(m, len(indices))
         return cls(m, len(indices), {key: TrigLaurent.const(float(sign))})
 
-    @classmethod
-    def from_form(cls, form: Form, m: int, scale: TrigLaurent | float = 1.0) -> "CForm":
-        """Lift a float-coefficient form into the first indices of a bigger algebra."""
-        if not isinstance(scale, TrigLaurent):
-            scale = TrigLaurent.const(scale)
-        return cls(m, form.degree, {k: scale * v for k, v in form.coeffs.items()})
-
     def __add__(self, other: "CForm") -> "CForm":
         if self.m != other.m or self.degree != other.degree:
             raise ValueError("incompatible forms")
@@ -353,9 +346,14 @@ class CForm:
             _merge(out, piece)
         return CForm._of(self.m, self.degree, out)
 
-    def eval_at(self, t: float, tau: float) -> Form:
-        return Form(self.m, self.degree,
-                    {k: v.eval(t, tau) for k, v in self.coeffs.items()})
+    def _dense(self, value) -> np.ndarray:
+        """Float form over all_keys(m, degree) with coefficients value(ring element)."""
+        keys = all_keys(self.m, self.degree)
+        return np.array([value(self.coeffs[k]) if k in self.coeffs else 0.0 for k in keys])
+
+    def eval_at(self, t: float, tau: float) -> np.ndarray:
+        """The coefficients at (t, tau), as a float form over all_keys(m, degree)."""
+        return self._dense(lambda c: c.eval(t, tau))
 
     def norm_inf(self) -> float:
         return max((v.norm_inf() for v in self.coeffs.values()), default=0.0)
@@ -363,9 +361,10 @@ class CForm:
     def nonconstant_norm(self) -> float:
         return max((v.nonconstant_norm() for v in self.coeffs.values()), default=0.0)
 
-    def constant_form(self) -> Form:
-        return Form(self.m, self.degree,
-                    {k: v.constant_part() for k, v in self.coeffs.items()})
+    def constant_form(self) -> np.ndarray:
+        """The constant parts of the coefficients, as a float form over
+        all_keys(m, degree)."""
+        return self._dense(TrigLaurent.constant_part)
 
     def __repr__(self) -> str:
         return f"CForm(m={self.m}, deg={self.degree}, {len(self.coeffs)} terms)"
@@ -401,10 +400,67 @@ def _merge(store: dict, coeffs: dict) -> None:
         _add_term(store, key, val)
 
 
-class CFormMatrix(FormMatrix):
-    """FormMatrix of CForm entries, with the cone's one-pass matrix wedge."""
+class CFormMatrix:
+    """Dense matrix of CForms, homogeneous in degree and generator count, with
+    the cone's one-pass matrix wedge.  Every operation returns a new matrix."""
 
-    __slots__ = ()
+    __slots__ = ("rows", "cols", "m", "degree", "entries")
+
+    def __init__(self, entries):
+        rows = list(entries)
+        if not rows or not rows[0]:
+            raise ValueError("matrix must be nonempty")
+        self.rows = len(rows)
+        self.cols = len(rows[0])
+        first = rows[0][0]
+        self.m = first.m
+        self.degree = first.degree
+        for r in rows:
+            if len(r) != self.cols:
+                raise ValueError("ragged matrix")
+            for f in r:
+                if f.m != self.m or f.degree != self.degree:
+                    raise ValueError("inhomogeneous matrix entries")
+        self.entries = tuple(tuple(r) for r in rows)
+
+    def __getitem__(self, ij):
+        i, j = ij
+        return self.entries[i][j]
+
+    def __add__(self, other: "CFormMatrix") -> "CFormMatrix":
+        self._check_shape(other)
+        return CFormMatrix(
+            [[self[i, j] + other[i, j] for j in range(self.cols)] for i in range(self.rows)]
+        )
+
+    def __sub__(self, other: "CFormMatrix") -> "CFormMatrix":
+        self._check_shape(other)
+        return CFormMatrix(
+            [[self[i, j] - other[i, j] for j in range(self.cols)] for i in range(self.rows)]
+        )
+
+    def __neg__(self) -> "CFormMatrix":
+        return self.map(lambda f: -f)
+
+    def _check_shape(self, other: "CFormMatrix") -> None:
+        if (self.rows, self.cols) != (other.rows, other.cols):
+            raise ValueError("shape mismatch")
+        if self.m != other.m:
+            raise ValueError("mismatched basis dimension")
+
+    def transpose(self) -> "CFormMatrix":
+        return CFormMatrix(
+            [[self.entries[i][j] for i in range(self.rows)] for j in range(self.cols)]
+        )
+
+    def map(self, fn) -> "CFormMatrix":
+        return CFormMatrix([[fn(f) for f in row] for row in self.entries])
+
+    def norm_inf(self) -> float:
+        return max(f.norm_inf() for row in self.entries for f in row)
+
+    def __repr__(self) -> str:
+        return f"CFormMatrix({self.rows}x{self.cols}, deg={self.degree}, m={self.m})"
 
     def wedge(self, other: "CFormMatrix") -> "CFormMatrix":
         if self.cols != other.rows:
@@ -474,14 +530,15 @@ def apply_derivation(x: CForm, d_rules, dtau: CForm, idx_psi: int,
     return CForm._of(m, x.degree + 1, out)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ConeAlgebra:
     """Generators a~^1..a~^n, b~^1..b~^n, phi (index 2n+1), psi (index 2n+2),
-    then any further generators that d_rules differentiates (m = len(d_rules))."""
+    then any further generators that d_rules differentiates (m = len(d_rules)).
+    kappa is the base one-form as a (2n,) array, or None."""
 
     L: LieAlgebra
     B: AdaptedBasis
-    kappa: Form | None
+    kappa: np.ndarray | None
     d_rules: tuple
     exact: bool
 
@@ -508,7 +565,7 @@ class ConeAlgebra:
         phi = CForm.basis(self.m, self.idx_phi)
         if self.kappa is None:
             return phi
-        return phi - CForm.from_form(self.kappa, self.m, 2.0)
+        return phi - _lift(self.m, self.kappa, TrigLaurent.const(2.0))
 
     def d(self, x: CForm) -> CForm:
         return apply_derivation(x, self.d_rules, self.dtau, self.idx_psi, self.exact)
@@ -556,14 +613,16 @@ class ConeAlgebra:
         return worst
 
 
-def _lift_matrix(CA: ConeAlgebra, X: np.ndarray, scale=1.0) -> CFormMatrix:
-    """Entrywise lift of an (n, n, 2n) array of base one-forms into the cone;
-    coefficients of size at most PRUNE are dropped, as Form drops them."""
-    if not isinstance(scale, TrigLaurent):
-        scale = TrigLaurent.const(scale)
-    return CFormMatrix([[CForm(CA.m, 1, {(k + 1,): scale * float(v)
-                                         for k, v in enumerate(entry) if abs(v) > PRUNE})
-                         for entry in row] for row in X])
+def _lift(m: int, x: np.ndarray, scale: TrigLaurent = TL_ONE) -> CForm:
+    """Lift of a dense base one-form, scaled by a ring element, into the first
+    indices of an m-generator algebra; coefficients of size at most PRUNE
+    are dropped."""
+    return CForm(m, 1, {(k + 1,): scale * float(v) for k, v in enumerate(x) if abs(v) > PRUNE})
+
+
+def _lift_matrix(CA: ConeAlgebra, X: np.ndarray, scale: TrigLaurent = TL_ONE) -> CFormMatrix:
+    """Entrywise lift of an (n, n, 2n) array of base one-forms into the cone."""
+    return CFormMatrix([[_lift(CA.m, entry, scale) for entry in row] for row in X])
 
 
 def _base_curvature(CA: ConeAlgebra, mu: CFormMatrix, lam: CFormMatrix):
@@ -582,7 +641,16 @@ def _omega_s(n: int, m: int) -> CForm:
     return omega
 
 
-def cone_coframe(L: LieAlgebra, B: AdaptedBasis, kappa: Form | None,
+def _bracket_rules(L: LieAlgebra, m: int) -> list:
+    """d(a~), d(b~) over m generators, read off the brackets:
+    d(e^k) = -sum c^k_ij e^i ^ e^j, terms in bracket order."""
+    rules: list = [{} for _ in range(L.dim)]
+    for (i, j, k, c) in L.brackets:
+        rules[k - 1][(i, j)] = TrigLaurent.const(-c)
+    return [CForm(m, 2, r) for r in rules]
+
+
+def cone_coframe(L: LieAlgebra, B: AdaptedBasis, kappa: np.ndarray | None,
                  tol: float = 1e-9) -> ConeAlgebra:
     """Build the cone algebra; verifies d*d = 0 (raises DSquaredError).
 
@@ -595,8 +663,7 @@ def cone_coframe(L: LieAlgebra, B: AdaptedBasis, kappa: Form | None,
     check_adapted(L, B)
     n = B.n
     m = 2 * n + 2
-    base_d = _d_table(L)
-    rules = [CForm.from_form(base_d[i], m) for i in range(2 * n)]
+    rules = _bracket_rules(L, m)
     rules.append(_omega_s(n, m).scale(2.0))     # d(phi) = 2 omega~_S
     rules.append(CForm.zero(m, 2))              # d(psi) = 0
     CA = ConeAlgebra(L=L, B=B, kappa=kappa, d_rules=tuple(rules), exact=kappa is not None)
@@ -606,7 +673,7 @@ def cone_coframe(L: LieAlgebra, B: AdaptedBasis, kappa: Form | None,
         raise DSquaredError(f"d^2 residual {res:.3e} (bad kappa or bad algebra)")
     if kappa is not None:
         res = CA.d(CA.dtau).norm_inf()
-        if res > tol * (1.0 + L.max_constant() * (1.0 + kappa.norm_inf())):
+        if res > tol * (1.0 + L.max_constant() * (1.0 + max_abs(kappa))):
             raise DSquaredError(f"d(d tau) = {res:.3e}: kappa is not a primitive of omega_S")
     return CA
 
@@ -762,7 +829,7 @@ def verify_eta_conditions(CA: ConeAlgebra, eta: EtaForm, omega_nabla: CFormMatri
 
 
 def special_blocks(CA: ConeAlgebra, C: ConnectionData, p, q,
-                   kappa: Form | None = None, match_tol: float = 1e-9, *,
+                   kappa: np.ndarray | None = None, match_tol: float = 1e-9, *,
                    eta: EtaForm | None = None, curvature: CFormMatrix | None = None):
     """Flatness blocks (T, U, V, W) of the special connection.
 
@@ -835,7 +902,7 @@ def special_blocks(CA: ConeAlgebra, C: ConnectionData, p, q,
 
 
 def special_block_residual(CA: ConeAlgebra, C: ConnectionData, p, q,
-                           kappa: Form | None = None) -> float:
+                           kappa: np.ndarray | None = None) -> float:
     T, U, V, W = special_blocks(CA, C, p, q, kappa)
     return max(T.norm_inf(), U.norm_inf(), V.norm_inf(), W.norm_inf())
 

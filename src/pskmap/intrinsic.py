@@ -15,7 +15,7 @@ KAPPA_TERM_SIGN and its regression test.
 
 p, q and every residual matrix are dense (n, n, comb(2n, k)) arrays on the
 kernel of forms.DenseExterior, like the connection and curvature blocks;
-kappa stays a Form, as the candidate carries it.
+kappa is a (2n,) array of one-form coefficients.
 """
 
 from __future__ import annotations
@@ -27,7 +27,7 @@ from itertools import combinations_with_replacement, product
 import numpy as np
 
 from .connection import ConnectionData, CurvatureData, ch_model
-from .forms import DEFAULT_TOL, DenseExterior, Form, ZeroTolerance, max_abs
+from .forms import DEFAULT_TOL, DenseExterior, ZeroTolerance, max_abs
 from .lie import AdaptedBasis, LieAlgebra, d_matrix
 
 # +1 selects "+4 kappa^q" in the p-equation and "-4 kappa^p" in the
@@ -81,13 +81,21 @@ class SymTensor3:
         return f"SymTensor3(n={self.n}, {self.data})"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PSKCandidate:
-    """(Sa, Sb) coefficients of q plus the primitive one-form kappa."""
+    """(Sa, Sb) coefficients of q plus the primitive one-form kappa, a (2n,)
+    array over a^1..a^n, b^1..b^n; the candidate keeps a read-only copy."""
 
     Sa: SymTensor3
     Sb: SymTensor3
-    kappa: Form
+    kappa: np.ndarray
+
+    def __post_init__(self):
+        kappa = np.array(self.kappa, dtype=float)
+        if kappa.shape != (2 * self.n,):
+            raise ValueError(f"kappa must have shape ({2 * self.n},), got {kappa.shape}")
+        kappa.flags.writeable = False
+        object.__setattr__(self, "kappa", kappa)
 
     @property
     def n(self) -> int:
@@ -95,14 +103,13 @@ class PSKCandidate:
 
     def validate(self, L: LieAlgebra, tol: ZeroTolerance = DEFAULT_TOL) -> None:
         """Check d(kappa) = omega_S against the supplied algebra."""
-        ext = DenseExterior(2 * self.n)
-        res = max_abs(d_matrix(L, 1) @ ext.dense(self.kappa) - ext.kahler())
+        res = max_abs(d_matrix(L, 1) @ self.kappa - DenseExterior(2 * self.n).kahler())
         if res > tol.bound(1.0):
             raise ValueError(f"kappa is not a primitive of omega_S (residual {res:.3e})")
 
 
 def make_candidate(L: LieAlgebra, B: AdaptedBasis, Sa: SymTensor3, Sb: SymTensor3,
-                   kappa: Form, tol: ZeroTolerance = DEFAULT_TOL) -> PSKCandidate:
+                   kappa: np.ndarray, tol: ZeroTolerance = DEFAULT_TOL) -> PSKCandidate:
     cand = PSKCandidate(Sa, Sb, kappa)
     cand.validate(L, tol)
     return cand
@@ -168,22 +175,21 @@ def wpq_matrix(K: CurvatureData, p: np.ndarray, q: np.ndarray) -> np.ndarray:
     return K.Lam + wm(p, q) - wm(q, p) - ch_model(K.n).Lam
 
 
-def dpq_matrices(p: np.ndarray, q: np.ndarray, kappa: Form, C: ConnectionData,
+def dpq_matrices(p: np.ndarray, q: np.ndarray, kappa: np.ndarray, C: ConnectionData,
                  L: LieAlgebra):
     ext = DenseExterior(L.dim)
     D = d_matrix(L, 1)
     mu, lam = C.mu, C.lam
     wm = lambda X, Y: ext.wedge_matrix(X, Y, 1, 1)
     s4 = 4.0 * KAPPA_TERM_SIGN
-    kap = ext.dense(kappa)
     rp = (p @ D.T + wm(mu, p) + wm(p, mu) + wm(lam, q) - wm(q, lam)
-          + s4 * ext.wedge(kap, q, 1, 1))
+          + s4 * ext.wedge(kappa, q, 1, 1))
     rq = (q @ D.T + wm(mu, q) + wm(q, mu) - wm(lam, p) + wm(p, lam)
-          - s4 * ext.wedge(kap, p, 1, 1))
+          - s4 * ext.wedge(kappa, p, 1, 1))
     return rp, rq
 
 
-def dpq_residual(p: np.ndarray, q: np.ndarray, kappa: Form, C: ConnectionData,
+def dpq_residual(p: np.ndarray, q: np.ndarray, kappa: np.ndarray, C: ConnectionData,
                  L: LieAlgebra) -> float:
     """Max norm of the two derivative equations for (p, q)."""
     rp, rq = dpq_matrices(p, q, kappa, C, L)

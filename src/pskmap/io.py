@@ -19,9 +19,12 @@ A bracket row (i, j, k), an Sa or Sb triple and a kappa index may each
 appear at most once; a repeat is a ParseError, also when one of two bracket
 rows on the same (i, j, k) is parametric.
 
+The candidate's kappa is read into a (2n,) array; writing it lists only the
+entries of size above forms.PRUNE_EPS.
+
 Every number must be a finite JSON number (not a bool or a string) of
-magnitude at most MAX_MAGNITUDE, and every index an integer; anything else
-is a ParseError.
+magnitude at most MAX_MAGNITUDE, every index an integer and n at most MAX_N;
+anything else is a ParseError.
 """
 
 from __future__ import annotations
@@ -30,7 +33,9 @@ import json
 import math
 from dataclasses import dataclass, field
 
-from .forms import Form
+import numpy as np
+
+from .forms import PRUNE_EPS
 from .intrinsic import PSKCandidate, SymTensor3
 from .lie import AdaptedBasis, LieAlgebra
 
@@ -41,6 +46,11 @@ SCHEMA_VERSION = 1
 # output of the twist squares products of them), so 1e50 keeps every such
 # expression far from float overflow.
 MAX_MAGNITUDE = 1e50
+
+# Largest accepted n.  Every command checks the Jacobi identity on a (2n)^4
+# float array (128 MiB at n = 32, 2 GiB at n = 64), so a larger n cannot run;
+# refusing it here also bounds the (2n,) kappa array the parser allocates.
+MAX_N = 32
 
 
 class ParseError(Exception):
@@ -90,7 +100,7 @@ def parse_algebra(obj: dict, allow_parameter: bool = False) -> AlgebraFile:
     _check(isinstance(obj, dict), "top level must be an object")
     _check("n" in obj, "missing field 'n'")
     n = obj["n"]
-    _check(_is_int(n) and n >= 1, "'n' must be a positive integer")
+    _check(_is_int(n) and 1 <= n <= MAX_N, f"'n' must be an integer in 1..{MAX_N}")
     dim = 2 * n
     entries = []
     seen = set()
@@ -132,13 +142,14 @@ def _parse_candidate(obj: dict, n: int) -> PSKCandidate:
             data[i, j, k] = _number(v, f"{name} value")
         return SymTensor3(n, data)
 
-    coeffs = {}
+    kappa, seen = np.zeros(2 * n), set()
     for idx, v in _rows(obj, "kappa", 2, "[index, value]"):
         _check(_is_int(idx) and 1 <= idx <= 2 * n,
                f"kappa index {idx!r} out of range")
-        _check((idx,) not in coeffs, f"duplicate kappa index {idx}")
-        coeffs[(idx,)] = _number(v, "kappa value")
-    return PSKCandidate(tensor("Sa"), tensor("Sb"), Form(2 * n, 1, coeffs))
+        _check(idx not in seen, f"duplicate kappa index {idx}")
+        seen.add(idx)
+        kappa[idx - 1] = _number(v, "kappa value")
+    return PSKCandidate(tensor("Sa"), tensor("Sb"), kappa)
 
 
 def parse_template(obj: dict):
@@ -190,7 +201,8 @@ def algebra_to_dict(L: LieAlgebra, B: AdaptedBasis, labels=None,
         out["candidate"] = {
             "Sa": [[i, j, k, v] for (i, j, k), v in sorted(candidate.Sa.data.items())],
             "Sb": [[i, j, k, v] for (i, j, k), v in sorted(candidate.Sb.data.items())],
-            "kappa": [[key[0], v] for key, v in sorted(candidate.kappa.coeffs.items())],
+            "kappa": [[i + 1, float(v)] for i, v in enumerate(candidate.kappa)
+                      if abs(v) > PRUNE_EPS],
         }
     return out
 
@@ -246,8 +258,6 @@ class Report:
 
 
 def _json_default(value):
-    import numpy as np
-
     if isinstance(value, (np.floating,)):
         return float(value)
     if isinstance(value, (np.integer,)):

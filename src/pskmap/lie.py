@@ -4,7 +4,8 @@ Brackets are stored sparsely as (i, j, k, c) tuples with i < j meaning
 [e_i, e_j] = sum_k c^k_ij e_k.  The exterior derivative of an invariant
 one-form is (d alpha)(e_i, e_j) = -alpha([e_i, e_j]), extended to higher
 degrees as a graded derivation; d*d = 0 is equivalent to the Jacobi
-identity.
+identity.  On dense forms over all_keys(dim, k) d is the matrix
+d_matrix(L, k), expanded from the brackets each time it is asked for.
 """
 
 from __future__ import annotations
@@ -13,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .forms import DEFAULT_TOL, Form, ZeroTolerance, all_keys, sort_with_sign, wedge
+from .forms import DEFAULT_TOL, PRUNE_EPS, ZeroTolerance, all_keys, max_abs, sort_with_sign
 
 
 class NotExactError(Exception):
@@ -100,102 +101,76 @@ def validate_lie_algebra(L: LieAlgebra) -> None:
         raise ValueError(f"Jacobi residual {res:.3e} exceeds bound {bound:.3e}")
 
 
-# d-tables by algebra, oldest first; a scan builds one algebra per parameter
-# value, so entries past the cap are evicted in insertion order.
-_D_TABLE_CACHE: dict = {}
-_D_TABLE_CACHE_MAX = 32
-
-
-def _d_table(L: LieAlgebra):
-    """d(e^k) for all basis one-forms, as degree-2 forms."""
-    key = (L.dim, L.brackets)
-    table = _D_TABLE_CACHE.get(key)
-    if table is None:
-        coeffs: list = [dict() for _ in range(L.dim)]
-        for (i, j, k, c) in L.brackets:
-            d = coeffs[k - 1]
-            d[(i, j)] = d.get((i, j), 0.0) - c
-        table = tuple(Form(L.dim, 2, d) for d in coeffs)
-        _D_TABLE_CACHE[key] = table
-        while len(_D_TABLE_CACHE) > _D_TABLE_CACHE_MAX:
-            del _D_TABLE_CACHE[next(iter(_D_TABLE_CACHE))]
-    return table
-
-
-def ce_differential(L: LieAlgebra, x: Form) -> Form:
-    """Exterior derivative of an invariant form, as a degree +1 derivation."""
-    if x.m != L.dim:
-        raise ValueError("form does not live over this algebra")
-    table = _d_table(L)
-    out = Form.zero(L.dim, x.degree + 1)
-    for key, val in x.coeffs.items():
-        for pos, idx in enumerate(key):
-            head = Form(L.dim, pos, {key[:pos]: 1.0})
-            tail = Form(L.dim, len(key) - pos - 1, {key[pos + 1:]: 1.0})
-            sign = -1.0 if pos % 2 else 1.0
-            out = out + (sign * val) * wedge(head, wedge(table[idx - 1], tail))
-    return out
+def _d_rules(L: LieAlgebra) -> list:
+    """d(e^k) = -sum c^k_ij e^i ^ e^j, read off the brackets: for each k the
+    ((i, j), -c) pairs in bracket order, without constants of size at most
+    PRUNE_EPS."""
+    rules: list = [[] for _ in range(L.dim)]
+    for (i, j, k, c) in L.brackets:
+        if abs(c) > PRUNE_EPS:
+            rules[k - 1].append(((i, j), -c))
+    return rules
 
 
 def d_matrix(L: LieAlgebra, k: int) -> np.ndarray:
     """Matrix of d from k-forms to (k+1)-forms, over all_keys(L.dim, k) and
     all_keys(L.dim, k + 1): column r is d of the r-th basis k-form, expanded
-    as a graded derivation from the d-table."""
+    as a graded derivation from the generators' rules."""
     keys = all_keys(L.dim, k)
     index = {key: r for r, key in enumerate(all_keys(L.dim, k + 1))}
     D = np.zeros((len(index), len(keys)))
-    table = _d_table(L)
+    rules = _d_rules(L)
     for col, key in enumerate(keys):
         for pos, idx in enumerate(key):
             head, tail = key[:pos], key[pos + 1:]
             parity = -1.0 if pos % 2 else 1.0
-            for rkey, val in table[idx - 1].coeffs.items():
+            for rkey, val in rules[idx - 1]:
                 sign, out = sort_with_sign(head + rkey + tail)
                 if sign:
                     D[index[out], col] += parity * sign * val
     return D
 
 
-def closed_one_forms(L: LieAlgebra, tol: float = 1e-12) -> list:
-    """Orthonormal basis of the invariant closed one-forms: the right singular
-    vectors of d beyond its rank, counting singular values above
-    tol * (largest) as in scipy.linalg.null_space(D, rcond=tol)."""
+def _pruned(x: np.ndarray) -> np.ndarray:
+    return np.where(np.abs(x) > PRUNE_EPS, x, 0.0)
+
+
+def closed_one_forms(L: LieAlgebra, tol: float = 1e-12) -> np.ndarray:
+    """Orthonormal basis of the invariant closed one-forms, as the rows of an
+    (r, dim) array: the right singular vectors of d beyond its rank, counting
+    singular values above tol * (largest) as in
+    scipy.linalg.null_space(D, rcond=tol).  Entries of size at most
+    PRUNE_EPS are zeroed."""
     D = d_matrix(L, 1)
     if np.abs(D).max() == 0.0:
-        basis = np.eye(L.dim)
-    else:
-        _, s, vh = np.linalg.svd(D, full_matrices=True)
-        basis = vh[int((s > s.max() * tol).sum()):].T
-    out = []
-    for col in range(basis.shape[1]):
-        out.append(Form(L.dim, 1, {(i + 1,): basis[i, col] for i in range(L.dim)}))
-    return out
+        return np.eye(L.dim)
+    _, s, vh = np.linalg.svd(D, full_matrices=True)
+    return _pruned(vh[int((s > s.max() * tol).sum()):])
 
 
-def solve_primitive(L: LieAlgebra, omega: Form, tol: ZeroTolerance = DEFAULT_TOL):
-    """Solve d(kappa) = omega for an invariant one-form kappa.
+def solve_primitive(L: LieAlgebra, omega: np.ndarray, tol: ZeroTolerance = DEFAULT_TOL):
+    """Solve d(kappa) = omega for an invariant one-form kappa, with omega a
+    two-form over all_keys(L.dim, 2).
 
-    Returns the minimum-norm particular solution together with a basis of
-    the closed one-forms (the affine solution set is kappa + its span).
-    Raises NotExactError when the least-squares residual of the linear
-    system stays above tolerance.
+    Returns the minimum-norm particular solution, a (dim,) array, together
+    with closed_one_forms(L) (the affine solution set is kappa plus their
+    span).  Raises NotExactError when the least-squares residual of the
+    linear system stays above tolerance.
     """
-    if omega.degree != 2 or omega.m != L.dim:
+    omega = np.asarray(omega, dtype=float)
+    if omega.shape != (len(all_keys(L.dim, 2)),):
         raise ValueError("expected a two-form over the algebra")
-    scale = 1.0 + omega.norm_inf()
-    if ce_differential(L, omega).norm_inf() > tol.bound(scale):
+    scale = 1.0 + max_abs(omega)
+    if max_abs(d_matrix(L, 2) @ omega) > tol.bound(scale):
         raise ValueError("omega is not closed")
-    pairs = all_keys(L.dim, 2)
     D = d_matrix(L, 1)
-    w = np.array([omega.coeffs.get(p, 0.0) for p in pairs])
-    x, *_ = np.linalg.lstsq(D, w, rcond=None)
-    residual = float(np.abs(D @ x - w).max()) if len(w) else 0.0
+    x, *_ = np.linalg.lstsq(D, omega, rcond=None)
+    residual = max_abs(D @ x - omega)
     if residual > tol.bound(scale):
         raise NotExactError(
             f"no invariant primitive: least-squares residual {residual:.3e}"
         )
-    kappa = Form(L.dim, 1, {(i + 1,): x[i] for i in range(L.dim)})
-    return kappa, closed_one_forms(L)
+    return _pruned(x), closed_one_forms(L)
 
 
 # -- solvability helpers (used on c-map outputs) ----------------------

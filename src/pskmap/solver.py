@@ -29,7 +29,7 @@ from math import comb
 import numpy as np
 
 from .connection import ConnectionData, CurvatureData, ch_model, curvature, levi_civita
-from .forms import DenseExterior, Form, kahler_form, max_abs
+from .forms import DenseExterior, max_abs
 from .intrinsic import (
     KAPPA_TERM_SIGN,
     PSKCandidate,
@@ -68,14 +68,19 @@ class SolveConfig:
 
 @dataclass
 class Geometry:
-    """Fixed data of one solve: algebra, connection, curvature and kappa split."""
+    """Fixed data of one solve: algebra, connection, curvature and kappa split.
+
+    kappa0 is the minimum-norm primitive of omega_S, a (2n,) array, and
+    kernel the closed one-forms, an (r, 2n) array, so that every primitive
+    is kappa0 + x @ kernel; kappa0 is None and kernel has no rows when
+    omega_S is not exact."""
 
     L: LieAlgebra
     B: AdaptedBasis
     conn: ConnectionData
     curv: CurvatureData
-    kappa0: Form | None
-    kernel: list
+    kappa0: np.ndarray | None
+    kernel: np.ndarray
     exact: bool
     _compiled: object = field(default=None, repr=False)
 
@@ -96,28 +101,17 @@ class Geometry:
         t = self.n_tensor
         Sa = SymTensor3.from_vector(self.n, x[:t])
         Sb = SymTensor3.from_vector(self.n, x[t:2 * t])
-        kappa = None
-        if self.exact:
-            kappa = self.kappa0
-            for coeff, form in zip(x[2 * t:], self.kernel):
-                kappa = kappa + float(coeff) * form
+        kappa = self.kappa0 + x[2 * t:] @ self.kernel if self.exact else None
         return Sa, Sb, kappa
 
     def pack(self, cand: PSKCandidate) -> np.ndarray:
         """Inverse of unpack; projects the candidate's kappa on the kernel."""
         vec = [cand.Sa.to_vector(), cand.Sb.to_vector()]
         if self.exact:
-            m = self.L.dim
             diff = cand.kappa - self.kappa0
-            rhs = np.array([diff.coeffs.get((i,), 0.0) for i in range(1, m + 1)])
-            A = np.array([[f.coeffs.get((i,), 0.0) for f in self.kernel]
-                          for i in range(1, m + 1)])
-            if self.kernel:
-                coeffs, *_ = np.linalg.lstsq(A, rhs, rcond=None)
-                if np.abs(A @ coeffs - rhs).max() > 1e-9:
-                    raise ValueError("candidate kappa is not a primitive plus kernel")
-            else:
-                coeffs = np.zeros(0)
+            coeffs, *_ = np.linalg.lstsq(self.kernel.T, diff, rcond=None)
+            if max_abs(coeffs @ self.kernel - diff) > 1e-9:
+                raise ValueError("candidate kappa is not a primitive plus kernel")
             vec.append(coeffs)
         return np.concatenate(vec)
 
@@ -126,12 +120,12 @@ def build_geometry(L: LieAlgebra, B: AdaptedBasis, *, allow_nonexact: bool = Fal
     conn = levi_civita(L, B)
     curv = curvature(conn, L)
     try:
-        kappa0, kernel = solve_primitive(L, kahler_form(B.n))
+        kappa0, kernel = solve_primitive(L, DenseExterior(B.dim).kahler())
         exact = True
     except NotExactError:
         if not allow_nonexact:
             raise
-        kappa0, kernel, exact = None, [], False
+        kappa0, kernel, exact = None, np.zeros((0, B.dim)), False
     return Geometry(L=L, B=B, conn=conn, curv=curv, kappa0=kappa0,
                     kernel=kernel, exact=exact)
 
@@ -222,8 +216,8 @@ class CompiledResidual:
         if geom.exact:
             D = d_matrix(geom.L, 1)
             mu, lam = geom.conn.mu, geom.conn.lam
-            kappa0 = ext.dense(geom.kappa0)
-            ks = np.array([ext.dense(f) for f in geom.kernel]).reshape(-1, 1, 1, 1, m)
+            kappa0 = geom.kappa0
+            ks = geom.kernel.reshape(-1, 1, 1, 1, m)
             wm = lambda X, Y: ext.wedge_matrix(X, Y, 1, 1)
             for rs, (p_, q_) in zip(rows, ((ps, qs), (qs, -ps))):
                 # dp + mu^p + p^mu + lam^q - q^lam + 4 kappa^q
@@ -396,7 +390,7 @@ def _normalized_candidate(geom: Geometry, Sa, Sb, kappa):
     Sa_n, Sb_n = rotate_tensors(Sa, Sb, angle)
     note = f"rotated by s={angle:.12g} so entry {lead} of Sa is nonnegative"
     if kappa is None:
-        kappa = Form.zero(geom.L.dim, 1)
+        kappa = np.zeros(geom.L.dim)
     return PSKCandidate(Sa_n, Sb_n, kappa), note
 
 
@@ -417,11 +411,7 @@ def certify_gauge_orbit(c1: PSKCandidate, c2: PSKCandidate) -> float:
     and enters squared."""
     tens = _orbit_distance_tensors(c1, c2)
     diff = c1.kappa - c2.kappa
-    return math.sqrt(tens ** 2 + _one_form_norm2(diff))
-
-
-def _one_form_norm2(f: Form) -> float:
-    return sum(v * v for v in f.coeffs.values())
+    return math.sqrt(tens ** 2 + float(diff @ diff))
 
 
 @dataclass

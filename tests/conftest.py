@@ -1,18 +1,7 @@
 import numpy as np
 import pytest
 
-from pskmap.forms import Form
-
 
 @pytest.fixture
 def rng():
     return np.random.default_rng(20240817)
-
-
-def random_form(rng, m, degree, terms=4, scale=2.0):
-    """Sparse random form with a handful of monomials."""
-    coeffs = {}
-    for _ in range(terms):
-        key = tuple(sorted(rng.choice(np.arange(1, m + 1), size=degree, replace=False)))
-        coeffs[key] = float(rng.uniform(-scale, scale))
-    return Form(m, degree, coeffs)

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from pskmap.catalog import (
+    _unitary_conjugation,
     ch1,
     ch1_candidate,
     ch1_cubed,
@@ -11,11 +12,13 @@ from pskmap.catalog import (
     ch1_flat_candidate,
     complex_hyperbolic,
     complex_hyperbolic_candidate,
+    conjugate_algebra,
     four_dim_candidate,
     four_dim_example,
 )
+from pskmap.cone import DSquaredError, oracle_residual
 from pskmap.connection import curvature, levi_civita
-from pskmap.forms import Form, max_abs
+from pskmap.forms import max_abs
 from pskmap.intrinsic import (
     PSKCandidate,
     SymTensor3,
@@ -28,6 +31,7 @@ from pskmap.intrinsic import (
     pq_from_tensors,
     rotate,
     rotate_tensors,
+    sym_triples,
     torsion_residual,
     tpq_residual,
     wpq_residual,
@@ -134,7 +138,7 @@ class TestDerivativeEquations:
             x = math.sqrt(max(0.0, (4 - c * c) / 2.0))
             sa = SymTensor3.from_triples(1, [(1, 1, 1, x)])
             p, q = pq_from_tensors(sa, SymTensor3.zero(1))
-            kappa = Form(2, 1, {(2,): 1.0 / c})
+            kappa = np.array([0.0, 1.0 / c])
             expect = abs(x * (3 * c - 4.0 / c))
             assert dpq_residual(p, q, kappa, conn, L) == pytest.approx(expect, abs=1e-12)
 
@@ -142,7 +146,7 @@ class TestDerivativeEquations:
         L, B = ch1(2.0)
         conn, _ = geometry(L, B)
         zero = np.zeros((1, 1, 2))
-        kappa = Form(2, 1, {(1,): 0.3, (2,): 0.5})
+        kappa = np.array([0.3, 0.5])
         assert dpq_residual(zero, zero, kappa, conn, L) == 0.0
 
 
@@ -261,7 +265,7 @@ class TestKappaFreedom:
         conn, K = geometry(L, B)
         cand = four_dim_candidate()
         p, q = build_pq(cand)
-        shifted = cand.kappa + 0.35 * Form.basis(4, 1)
+        shifted = cand.kappa + np.array([0.35, 0.0, 0.0, 0.0])
         assert dpq_residual(p, q, shifted, conn, L) > 1e-3
         assert integrability_residual(K, p, q) < 1e-14
         assert tpq_residual(K, p, q) < 1e-14
@@ -276,7 +280,7 @@ class TestKappaFreedom:
         p, q = build_pq(cand)
         for _ in range(20):
             eps = float(rng.uniform(-0.5, 0.5))
-            kappa = cand.kappa + eps * Form.basis(4, 1)
+            kappa = cand.kappa + np.array([eps, 0.0, 0.0, 0.0])
             dpq = dpq_residual(p, q, kappa, conn, L)
             integ = integrability_residual(K, p, q)
             assert integ <= 4.0 * dpq + 1e-12
@@ -314,3 +318,50 @@ class TestAllResiduals:
         res = all_residuals(L, B, ch1_candidate(1.5))
         assert res["dpq"] == pytest.approx(abs(math.sqrt(0.875) * (4.5 - 4.0 / 1.5)))
         assert res["t_pq"] < 1e-14 and res["w_pq"] < 1e-14
+
+
+def transport(cand, R):
+    """The candidate in the frame e'_i = sum_k R[k, i] e_k of
+    conjugate_algebra, for R = [[X, -Y], [Y, X]] with U = X + iY unitary:
+    kappa -> R^T kappa, and the complex cubic form C = Sa + i Sb ->
+    C(conj(U) ., conj(U) ., conj(U) .)."""
+    n = cand.n
+    U = R[:n, :n] + 1j * R[n:, :n]
+    C = np.zeros((n, n, n), dtype=complex)
+    for idx in np.ndindex(n, n, n):
+        i, j, k = (x + 1 for x in idx)
+        C[idx] = cand.Sa.get(i, j, k) + 1j * cand.Sb.get(i, j, k)
+    V = U.conj()
+    C = np.einsum("abc,ai,bj,ck->ijk", C, V, V, V)
+    entries = [C[i - 1, j - 1, k - 1] for i, j, k in sym_triples(n)]
+    return PSKCandidate(SymTensor3.from_vector(n, [z.real for z in entries]),
+                        SymTensor3.from_vector(n, [z.imag for z in entries]),
+                        R.T @ cand.kappa)
+
+
+FRAME_CASES = {
+    "ch1_curved": lambda: (ch1(2.0 / math.sqrt(3.0)), ch1_candidate(2.0 / math.sqrt(3.0))),
+    "ch1_flat": lambda: (ch1(2.0), ch1_flat_candidate(2.0)),
+    "four_dim": lambda: (four_dim_example(), four_dim_candidate()),
+    "ch1_cubed": lambda: (ch1_cubed(2.0), ch1_cubed_candidate()),
+    "ch2_flat": lambda: (complex_hyperbolic(2), complex_hyperbolic_candidate(2)),
+    "ch3_flat": lambda: (complex_hyperbolic(3), complex_hyperbolic_candidate(3)),
+}
+
+
+@pytest.mark.parametrize("name", FRAME_CASES)
+def test_unitary_frame_change_keeps_psk(name):
+    # A U(n) change of adapted frame maps a PSK candidate to a PSK candidate
+    # of the conjugated algebra, for the intrinsic residuals and the oracle.
+    (L, B), cand = FRAME_CASES[name]()
+    rng = np.random.default_rng(sorted(FRAME_CASES).index(name))
+    for _ in range(3):
+        R = _unitary_conjugation(B.n, rng)
+        Lr = conjugate_algebra(L, R)
+        moved = transport(cand, R)
+        moved.validate(Lr)
+        assert max(all_residuals(Lr, B, moved).values()) < 1e-9
+        assert oracle_residual(Lr, B, moved) < 1e-9
+        # kappa left in the old frame is no primitive there
+        with pytest.raises(DSquaredError):
+            oracle_residual(Lr, B, PSKCandidate(moved.Sa, moved.Sb, cand.kappa))

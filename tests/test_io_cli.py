@@ -79,6 +79,7 @@ MALFORMED = {
     "kappa_inf": lambda o: o["candidate"]["kappa"][0].__setitem__(1, float("inf")),
     "tensor_string": lambda o: o["candidate"]["Sa"][0].__setitem__(3, "abc"),
     "n_bool": lambda o: o.__setitem__("n", True),
+    "n_too_large": lambda o: o.__setitem__("n", 2 ** 70),
     "bracket_duplicate_row": lambda o: o["brackets"].append(list(o["brackets"][0])),
     "Sa_duplicate_triple": lambda o: o["candidate"]["Sa"].append([1, 1, 2, 5.0]),
     "Sb_duplicate_triple": lambda o: o["candidate"]["Sb"].extend([[1, 2, 2, 1.0],
@@ -283,3 +284,18 @@ def test_cmap_builds_levi_civita_once(monkeypatch, capsys):
             monkeypatch.setattr(module, "levi_civita", counted)
     assert main(["cmap", fixture("four_dim.json")]) == 0
     assert len(calls) == 1
+
+
+@pytest.mark.parametrize("command", ["check", "solve", "cone-verify", "cmap"])
+def test_internal_error_exits_5(monkeypatch, capsys, command):
+    # An uncaught exception is neither a residual failure (1) nor a traceback.
+    import pskmap.cli as cli_module
+
+    def broken(args):
+        raise RuntimeError("planted failure")
+
+    monkeypatch.setattr(cli_module, f"cmd_{command.replace('-', '_')}", broken)
+    assert main([command, fixture("four_dim.json")]) == cli_module.EXIT_INTERNAL == 5
+    captured = capsys.readouterr()
+    assert captured.err == "internal error: RuntimeError: planted failure\n"
+    assert captured.out == ""

@@ -15,18 +15,17 @@ from pskmap.catalog import (
     four_dim_example,
     random_kahler_algebra,
 )
-from pskmap.forms import DenseExterior, Form, all_keys, kahler_form, max_abs, wedge
+from pskmap.forms import PRUNE_EPS, DenseExterior, all_keys, max_abs
 from pskmap.lie import (
     LieAlgebra,
     NotExactError,
-    ce_differential,
     closed_one_forms,
     d_matrix,
     jacobi_residual,
     solve_primitive,
 )
 
-from conftest import random_form
+from dict_forms import ce_differential, dense, random_form
 
 SQ2 = math.sqrt(2.0)
 
@@ -49,26 +48,29 @@ class TestJacobi:
 
 
 class TestDifferential:
+    """lie.d_matrix on dense forms."""
+
     def test_ch1_db(self):
         L, _ = ch1(2.0)
-        db = ce_differential(L, Form.basis(2, 2))
-        assert db.coeff(1, 2) == pytest.approx(2.0)
+        db = d_matrix(L, 1) @ DenseExterior(2).basis(2)
+        assert db[0] == pytest.approx(2.0)       # key (1, 2)
 
     def test_abelian_everything_closed(self, rng):
         L, _ = abelian(3)
         for _ in range(10):
-            x = random_form(rng, 6, int(rng.integers(1, 4)))
-            assert ce_differential(L, x).norm_inf() == 0.0
+            k = int(rng.integers(1, 4))
+            x = dense(random_form(rng, 6, k), 6, k)
+            assert max_abs(d_matrix(L, k) @ x) == 0.0
 
     def test_product_two_form(self):
         # d(b1 ^ b2) on the sqrt(2), 2 product
         L, _ = four_dim_example()
-        x = wedge(Form.basis(4, 3), Form.basis(4, 4))
-        dx = ce_differential(L, x)
+        dx = d_matrix(L, 2) @ DenseExterior(4).basis(3, 4)
+        keys = all_keys(4, 3)
         # = sqrt(2) a1^b1^b2 + 2 a2^b1^b2  (Leibniz sign on the second factor)
-        assert dx.coeff(1, 3, 4) == pytest.approx(SQ2)
-        assert dx.coeff(2, 3, 4) == pytest.approx(2.0)
-        assert len(dx.coeffs) == 2
+        assert dx[keys.index((1, 3, 4))] == pytest.approx(SQ2)
+        assert dx[keys.index((2, 3, 4))] == pytest.approx(2.0)
+        assert np.count_nonzero(dx) == 2
 
     def test_d_squared_zero_random(self, rng):
         algebras = [ch1(1.7)[0], four_dim_example()[0], complex_hyperbolic(2)[0],
@@ -76,9 +78,10 @@ class TestDifferential:
         count = 0
         for L in algebras:
             for _ in range(25):
-                x = random_form(rng, L.dim, int(rng.integers(1, 3)))
-                dd = ce_differential(L, ce_differential(L, x))
-                assert dd.norm_inf() < 1e-9
+                k = int(rng.integers(1, 3))
+                x = dense(random_form(rng, L.dim, k), L.dim, k)
+                dd = d_matrix(L, k + 1) @ (d_matrix(L, k) @ x)
+                assert max_abs(dd) < 1e-9
                 count += 1
         assert count >= 100
 
@@ -111,50 +114,49 @@ class TestDMatrix:
 
     @pytest.mark.parametrize("name", D_MATRIX_ALGEBRAS)
     def test_matches_ce_differential_on_basis_forms(self, name):
+        # against the dict reference of tests/dict_forms.py
         L = D_MATRIX_ALGEBRAS[name]()
-        ext = DenseExterior(L.dim)
         bound = 1e-12 * (1.0 + L.max_constant())
         for k in range(1, L.dim):
             D = d_matrix(L, k)
             assert D.shape == (len(all_keys(L.dim, k + 1)), len(all_keys(L.dim, k)))
             for col, key in enumerate(all_keys(L.dim, k)):
-                expect = ext.dense(ce_differential(L, Form.basis(L.dim, *key)))
+                expect = dense(ce_differential(L, {key: 1.0}), L.dim, k + 1)
                 assert max_abs(D[:, col] - expect) < bound
 
 
 class TestSolvePrimitive:
     def test_ch1(self):
         L, _ = ch1(2.0)
-        kappa, kernel = solve_primitive(L, kahler_form(1))
-        assert (kappa - 0.5 * Form.basis(2, 2)).norm_inf() < 1e-12
-        assert len(kernel) == 1
-        assert abs(abs(kernel[0].coeff(1)) - 1.0) < 1e-12
+        kappa, kernel = solve_primitive(L, DenseExterior(2).kahler())
+        assert max_abs(kappa - np.array([0.0, 0.5])) < 1e-12
+        assert kernel.shape == (1, 2)
+        assert abs(abs(kernel[0, 0]) - 1.0) < 1e-12
 
     def test_abelian_not_exact(self):
         L, _ = abelian(1)
         with pytest.raises(NotExactError):
-            solve_primitive(L, kahler_form(1))
+            solve_primitive(L, DenseExterior(2).kahler())
 
     def test_product_primitive(self):
         L, _ = four_dim_example()
-        kappa, kernel = solve_primitive(L, kahler_form(2))
-        expect = Form(4, 1, {(3,): 1.0 / SQ2, (4,): 0.5})
-        assert (kappa - expect).norm_inf() < 1e-12
+        kappa, kernel = solve_primitive(L, DenseExterior(4).kahler())
+        assert max_abs(kappa - np.array([0.0, 0.0, 1.0 / SQ2, 0.5])) < 1e-12
         assert len(kernel) == 2
 
     def test_round_trip_and_kernel_closed(self, rng):
         for n in (1, 2, 3):
             L, _ = ch1_product(list(rng.uniform(1.2, 2.8, n)))
-            omega = kahler_form(n)
+            omega = DenseExterior(2 * n).kahler()
             kappa, kernel = solve_primitive(L, omega)
-            assert (ce_differential(L, kappa) - omega).norm_inf() < 1e-9
+            assert max_abs(d_matrix(L, 1) @ kappa - omega) < 1e-9
             for k in kernel:
-                assert ce_differential(L, k).norm_inf() < 1e-12
+                assert max_abs(d_matrix(L, 1) @ k) < 1e-12
 
     def test_rejects_non_closed(self):
         La, _ = complex_hyperbolic(2)
-        bad = Form(4, 2, {(2, 3): 1.0})  # a2 ^ b1 is not closed here
-        assert ce_differential(La, bad).norm_inf() > 0.1
+        bad = DenseExterior(4).basis(2, 3)  # a2 ^ b1 is not closed here
+        assert max_abs(d_matrix(La, 2) @ bad) > 0.1
         with pytest.raises(ValueError):
             solve_primitive(La, bad)
 
@@ -175,7 +177,6 @@ def test_closed_one_forms_match_scipy_null_space():
     for L in algebras:
         D = d_matrix(L, 1)
         ref = np.eye(L.dim) if not D.any() else linalg.null_space(D, rcond=1e-12)
-        expect = [Form(L.dim, 1, {(i + 1,): ref[i, c] for i in range(L.dim)})
-                  for c in range(ref.shape[1])]
-        got = closed_one_forms(L)
-        assert [f.coeffs for f in got] == [f.coeffs for f in expect]
+        # closed_one_forms zeroes entries of size at most PRUNE_EPS
+        expect = np.where(np.abs(ref.T) > PRUNE_EPS, ref.T, 0.0)
+        assert np.array_equal(closed_one_forms(L), expect)

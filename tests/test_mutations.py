@@ -1,8 +1,10 @@
 """Known bugs, planted one at a time, and the check that catches each.
 
 Each case monkeypatches one mistake into the library and asserts which
-check fails.  The Koszul and d-table cases are caught by levi_civita's own
-structure equation; the kappa-sign and curvature cases by the intrinsic
+check fails.  The Koszul case and a sign flip of the intrinsic side's d-rules
+(lie.d_matrix) are caught by levi_civita's own structure equation; the same
+flip of the oracle's own bracket rules (cone.cone_coframe) by the cone's
+d^2 = 0 check on its tau-dependent coefficients; the kappa-sign and curvature cases by the intrinsic
 residuals alone, so the oracle (which has no such sign and computes its own
 base curvature) disagrees with them as acceptance 6 would report; the
 exponential-sign case by the twist's invariance check.
@@ -15,12 +17,13 @@ import numpy as np
 import pytest
 
 import pskmap.cmap as cmap_module
+import pskmap.cone as cone_module
 import pskmap.connection as connection_module
 import pskmap.intrinsic as intrinsic_module
 import pskmap.lie as lie_module
 from pskmap.catalog import ch1, ch1_candidate, four_dim_candidate, four_dim_example
 from pskmap.cmap import NonConstantError, qk_algebra
-from pskmap.cone import oracle_residual
+from pskmap.cone import DSquaredError, oracle_residual
 from pskmap.connection import levi_civita
 from pskmap.intrinsic import all_residuals
 
@@ -40,18 +43,36 @@ def test_koszul_sign_flip_caught_by_structure_equation(monkeypatch):
 
 
 def test_d_table_sign_caught_by_structure_equation(monkeypatch):
-    original = lie_module._d_table
+    original = lie_module._d_rules
 
-    def bad_d_table(L):
+    def bad_d_rules(L):
         # d(e^k) = +c^k_ij e^i ^ e^j instead of -c^k_ij e^i ^ e^j
-        return tuple(-f for f in original(L))
+        return [[(key, -c) for key, c in rule] for rule in original(L)]
 
     L, B = four_dim_example()
     levi_civita(L, B)
-    monkeypatch.setattr(lie_module, "_D_TABLE_CACHE", {})
-    monkeypatch.setattr(lie_module, "_d_table", bad_d_table)
+    monkeypatch.setattr(lie_module, "_d_rules", bad_d_rules)
     with pytest.raises(RuntimeError, match="structure equation"):
         levi_civita(L, B)
+
+
+def test_oracle_bracket_rule_sign_caught_by_cone_d_squared(monkeypatch):
+    # d^2 = 0 still holds on the generators with every base rule negated, but
+    # d(d tau) = 2 (omega_S - d kappa) then reads 4 omega_S, so d^2 of the
+    # tau-dependent ring samples fails and the cone is rejected before any
+    # block is built.  The intrinsic side does not read these rules.
+    original = cone_module._bracket_rules
+
+    def bad_bracket_rules(L, m):
+        return [-rule for rule in original(L, m)]
+
+    L, B = four_dim_example()
+    cand = four_dim_candidate()
+    assert oracle_residual(L, B, cand) < 1e-9
+    monkeypatch.setattr(cone_module, "_bracket_rules", bad_bracket_rules)
+    with pytest.raises(DSquaredError, match="d\\^2 residual"):
+        oracle_residual(L, B, cand)
+    assert max(all_residuals(L, B, cand).values()) < 1e-9
 
 
 def test_kappa_term_sign_caught_by_intrinsic_residuals_only(monkeypatch):

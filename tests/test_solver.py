@@ -4,7 +4,7 @@ import sys
 import numpy as np
 import pytest
 
-from pskmap import forms, lie, solver
+from pskmap import cone, solver
 from pskmap.catalog import (
     _unitary_conjugation,
     ch1,
@@ -115,10 +115,12 @@ class TestResidualVector:
 @pytest.mark.parametrize("name", ["four_dim", "flat_plus_ch1"])
 def test_intrinsic_side_never_calls_form_kernel(monkeypatch, rng, name):
     # The connection, curvature, residuals and compile run on the dense
-    # kernel; the Form wedge and differential are left to the boundaries.
+    # kernel; the cone oracle's ring-coefficient form arithmetic (its wedge,
+    # derivation and bracket rules) is its own, so acceptance 6 compares two
+    # independent computations.
     geom = GEOMETRIES[name]()
     calls = []
-    for target in (forms.wedge, lie.ce_differential):
+    for target in (cone._wedge_coeffs, cone.apply_derivation, cone._bracket_rules):
         def counted(*args, _f=target, **kwargs):
             calls.append(_f.__name__)
             return _f(*args, **kwargs)
@@ -281,14 +283,6 @@ class TestScan:
         residuals = {round(p.parameter, 2): p.best_residual for p in result.points}
         assert residuals[2.0] < 1e-8
         assert residuals[3.0] > 1e-2
-
-    def test_d_table_cache_bounded(self):
-        cap = lie._D_TABLE_CACHE_MAX
-        values = [1.0 + 0.01 * i for i in range(cap + 8)]
-        scan_curvature(lambda c: ch1(c), 0, 0, 0, SolveConfig(starts=1, max_iters=5),
-                       values=values, polish=False)
-        assert len(lie._D_TABLE_CACHE) <= cap
-        assert (2, ch1(values[-1])[0].brackets) in lie._D_TABLE_CACHE
 
     def test_explicit_values(self):
         cfg = SolveConfig(starts=8, seed=5)
