@@ -38,12 +38,12 @@ from .intrinsic import (
 from .cone import (
     ConeAlgebra,
     DSquaredError,
-    EtaForm,
+    SpecialCone,
     TrigLaurent,
     cone_coframe,
     cone_lc,
-    eta_from_pq,
     special_blocks,
+    special_cone,
     verify_eta_conditions,
 )
 from .solver import (

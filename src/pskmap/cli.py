@@ -16,10 +16,8 @@ from .cmap import NotPSKError, qk_algebra, qk_verify
 from .cone import (
     DSquaredError,
     cone_coframe,
-    cone_lc,
-    curvature_of,
-    eta_from_pq,
     special_blocks,
+    special_cone,
     verify_eta_conditions,
 )
 from .connection import NotKahlerError, curvature, kahler_check, levi_civita
@@ -27,6 +25,7 @@ from .intrinsic import all_residuals, pq_from_tensors
 from .io import (
     ParseError,
     Report,
+    _number,
     algebra_to_dict,
     load_algebra_file,
     load_template_file,
@@ -43,12 +42,44 @@ EXIT_NOT_PSK = 4
 EXIT_INTERNAL = 5
 
 
+# argparse type= converters: a value they reject is a usage error (exit 2).
+
+def _number_option(what: str, positive: bool = False):
+    """Converter to a number under the input files' rule (finite, magnitude
+    at most io.MAX_MAGNITUDE), and > 0 when positive is set."""
+    def convert(text: str) -> float:
+        try:
+            x = _number(float(text), what)
+        except (ValueError, ParseError) as exc:
+            raise argparse.ArgumentTypeError(str(exc)) from None
+        if positive and not x > 0:
+            raise argparse.ArgumentTypeError(f"{what} must be positive, got {text!r}")
+        return x
+    return convert
+
+
+def _integer_option(lo: int):
+    def convert(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            value = None
+        if value is None or value < lo:
+            raise argparse.ArgumentTypeError(f"expected an integer >= {lo}, got {text!r}")
+        return value
+    return convert
+
+
+_parameter = _number_option("scan parameter")
+_tolerance = _number_option("tolerance", positive=True)
+
+
 def _env_seed() -> int:
     raw = os.environ.get("PSK_SEED", "0")
     try:
-        return int(raw)
-    except ValueError:
-        raise ParseError(f"PSK_SEED must be an integer, got {raw!r}") from None
+        return _integer_option(0)(raw)
+    except argparse.ArgumentTypeError:
+        raise ParseError(f"PSK_SEED must be a non-negative integer, got {raw!r}") from None
 
 
 def _emit(report: Report, stream=None) -> None:
@@ -106,11 +137,8 @@ def cmd_solve(args) -> int:
 
 def cmd_scan(args) -> int:
     family, base = load_template_file(args.path)
-    if args.values:
-        try:
-            values = [float(v) for v in args.values.split(",") if v.strip()]
-        except ValueError:
-            raise ParseError(f"bad --values list {args.values!r}")
+    if args.values is not None:
+        values = args.values
         if not values:
             raise ParseError("empty --values list")
         lo = hi = 0.0
@@ -146,9 +174,9 @@ def cmd_scan(args) -> int:
 def cmd_cone_verify(args) -> int:
     """Cone-level verdict: the six special conditions and the flatness blocks.
 
-    omega_LC, eta, omega_nabla and its curvature Omega are built once; the
-    conditions (whose flatness entry is the norm of Omega) and the blocks
-    T, U, V, W share that one Omega.
+    Both read one SpecialCone, so omega_LC and the curvature Omega are built
+    once: the flatness entry of the conditions is the norm of that Omega,
+    and the blocks T, U, V, W are cut from it.
     """
     af = load_algebra_file(args.path)
     if af.candidate is None:
@@ -160,11 +188,9 @@ def cmd_cone_verify(args) -> int:
         _emit(Report("cone-verify", "Precondition", {"error": str(exc)}))
         return EXIT_PRECONDITION
     p, q = pq_from_tensors(af.candidate.Sa, af.candidate.Sb)
-    eta = eta_from_pq(CA, p, q)
-    omega_nabla = cone_lc(CA, conn) + eta.matrix
-    Om = curvature_of(CA, omega_nabla)
-    report = verify_eta_conditions(CA, eta, omega_nabla, curvature=Om)
-    T, U, V, W = special_blocks(CA, conn, p, q, eta=eta, curvature=Om)
+    sc = special_cone(CA, conn, p, q)
+    report = verify_eta_conditions(sc)
+    T, U, V, W = special_blocks(sc)
     report["blocks_T"] = T.norm_inf()
     report["blocks_U"] = U.norm_inf()
     report["blocks_V"] = V.norm_inf()
@@ -217,14 +243,14 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("check", help="evaluate all intrinsic residuals of a candidate")
     p.add_argument("path")
-    p.add_argument("--tol", type=float, default=1e-8)
+    p.add_argument("--tol", type=_tolerance, default=1e-8)
     p.set_defaults(fn=cmd_check)
 
     p = sub.add_parser("solve", help="search for a candidate by least squares")
     p.add_argument("path")
-    p.add_argument("--starts", type=int, default=64)
-    p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--tol", type=float, default=1e-8)
+    p.add_argument("--starts", type=_integer_option(1), default=64)
+    p.add_argument("--seed", type=_integer_option(0), default=None)
+    p.add_argument("--tol", type=_tolerance, default=1e-8)
     p.add_argument("--kappa-free", action="store_true",
                    help="fall back to the kappa-free system when the Kahler "
                         "form has no invariant primitive")
@@ -232,13 +258,14 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("scan", help="residual landscape of a one-parameter family")
     p.add_argument("path", help="template file with 'c' bracket constants")
-    p.add_argument("--range", nargs=2, type=float, metavar=("LO", "HI"))
-    p.add_argument("--steps", type=int, default=11)
-    p.add_argument("--values", type=str, default=None,
+    p.add_argument("--range", nargs=2, type=_parameter, metavar=("LO", "HI"))
+    p.add_argument("--steps", type=_integer_option(1), default=11)
+    p.add_argument("--values", default=None,
+                   type=lambda text: [_parameter(v) for v in text.split(",") if v.strip()],
                    help="comma-separated explicit parameter list")
-    p.add_argument("--starts", type=int, default=16)
-    p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--tol", type=float, default=1e-8)
+    p.add_argument("--starts", type=_integer_option(1), default=16)
+    p.add_argument("--seed", type=_integer_option(0), default=None)
+    p.add_argument("--tol", type=_tolerance, default=1e-8)
     p.add_argument("--no-polish", action="store_true")
     p.add_argument("--table", type=str, default=None,
                    help="also write a plain-text (parameter, residual) table")
@@ -246,13 +273,13 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("cone-verify", help="independent cone-level verification")
     p.add_argument("path")
-    p.add_argument("--tol", type=float, default=1e-8)
+    p.add_argument("--tol", type=_tolerance, default=1e-8)
     p.set_defaults(fn=cmd_cone_verify)
 
     p = sub.add_parser("cmap", help="apply the twist and emit the 4n+4 algebra")
     p.add_argument("path")
     p.add_argument("-o", "--output", type=str, default=None)
-    p.add_argument("--tol", type=float, default=1e-8)
+    p.add_argument("--tol", type=_tolerance, default=1e-8)
     p.set_defaults(fn=cmd_cmap)
     return parser
 

@@ -29,8 +29,7 @@ from .cone import (
     TrigLaurent,
     _i_matrix,
     cone_coframe,
-    cone_lc,
-    eta_from_pq,
+    special_cone,
 )
 from .connection import ConnectionData, levi_civita
 from .forms import all_keys, max_abs, sort_with_sign
@@ -110,8 +109,7 @@ def build_twist_frame(L: LieAlgebra, B: AdaptedBasis, cand: PSKCandidate,
     already built to check the candidate."""
     n = B.n
     CA = cone_coframe(L, B, cand.kappa)
-    p, q = pq_from_tensors(cand.Sa, cand.Sb)
-    omega_nabla = cone_lc(CA, conn) + eta_from_pq(CA, p, q).matrix
+    sc = special_cone(CA, conn, *pq_from_tensors(cand.Sa, cand.Sb))
 
     m_small, m_big = 2 * n + 2, 4 * n + 4
 
@@ -122,12 +120,12 @@ def build_twist_frame(L: LieAlgebra, B: AdaptedBasis, cand: PSKCandidate,
     for k in range(1, m_small + 1):
         acc = CForm.zero(m_big, 2)
         for j in range(1, m_small + 1):
-            entry = omega_nabla[j - 1, k - 1]
+            entry = sc.omega_nabla[j - 1, k - 1]
             if entry.coeffs:
                 acc = acc - CForm.basis(m_big, 2 * n + 2 + j).wedge(enlarge(entry))
         rules.append(acc)
     TF = TwistFrame(L=L, B=B, kappa=cand.kappa, d_rules=tuple(rules), exact=True)
-    scale = 1.0 + L.max_constant() ** 2 + max_abs(p) ** 2
+    scale = 1.0 + L.max_constant() ** 2 + max_abs(sc.p) ** 2
     res = TF.d_squared_residual()
     if res > tol * scale:
         raise NotPSKError(
@@ -141,48 +139,39 @@ def _exp_entries(n: int, sign: float):
     m = 2 * n + 2
     i_mat = _i_matrix(n)
     cos, sin = TrigLaurent.cos_tau(), TrigLaurent.sin_tau()
-    E = [[TrigLaurent() for _ in range(m)] for _ in range(m)]
-    for r in range(m):
-        for c in range(m):
-            val = TrigLaurent()
-            if r == c:
-                val = val + cos
-            if i_mat[r, c]:
-                val = val + sin * (sign * i_mat[r, c])
-            E[r][c] = val
+    E = [[cos if r == c else TrigLaurent() for c in range(m)] for r in range(m)]
+    for r, c in zip(*np.nonzero(i_mat)):            # off the diagonal
+        E[r][c] = sin * (sign * i_mat[r, c])
     return E
+
+
+def _rotated_fiber(TF: TwistFrame, sign: float, scale: TrigLaurent) -> list:
+    """The one-forms scale * sum_k Delta_k E^k_j, j = 1..2n+2, with
+    E = exp(sign * i * tau)."""
+    m_fiber = 2 * TF.n + 2
+    E = _exp_entries(TF.n, sign)
+    out = []
+    for j in range(m_fiber):
+        coeffs = {}
+        for k in range(m_fiber):
+            if E[k][j].terms:
+                coeffs[(TF.delta_index(k + 1),)] = scale * E[k][j]
+        out.append(CForm(TF.m, 1, coeffs))
+    return out
 
 
 def _invariant_fiber_coframe(TF: TwistFrame):
     """delta_j = (1/t) sum_k Delta_k E^k_j with E = exp(EXP_SIGN i tau)."""
-    n, m = TF.n, TF.m
-    E = _exp_entries(n, EXP_SIGN)
-    tinv = TrigLaurent.t_power(-1)
-    deltas = []
-    for j in range(2 * n + 2):
-        coeffs = {}
-        for k in range(2 * n + 2):
-            if E[k][j].terms:
-                coeffs[(TF.delta_index(k + 1),)] = tinv * E[k][j]
-        deltas.append(CForm(m, 1, coeffs))
-    return deltas
+    return _rotated_fiber(TF, EXP_SIGN, TrigLaurent.t_power(-1))
 
 
 def _output_substitution(TF: TwistFrame) -> dict:
     """Rewrite map into the invariant output frame:
     psi -> t * psi-tilde (same slot), Delta_k -> t * sum_m delta_m Einv^m_k."""
-    n, m = TF.n, TF.m
-    Einv = _exp_entries(n, -EXP_SIGN)
     t = TrigLaurent.t_power(1)
-    sub = {
-        TF.idx_psi: CForm(m, 1, {(TF.idx_psi,): t})
-    }
-    for k in range(2 * n + 2):
-        coeffs = {}
-        for mm in range(2 * n + 2):
-            if Einv[mm][k].terms:
-                coeffs[(TF.delta_index(mm + 1),)] = t * Einv[mm][k]
-        sub[TF.delta_index(k + 1)] = CForm(m, 1, coeffs)
+    sub = {TF.idx_psi: CForm(TF.m, 1, {(TF.idx_psi,): t})}
+    for k, image in enumerate(_rotated_fiber(TF, -EXP_SIGN, t), start=1):
+        sub[TF.delta_index(k)] = image
     return sub
 
 
@@ -269,28 +258,32 @@ def hk_forms(TF: TwistFrame) -> HKForms:
                    g_N=g_N, F=TF.curvature_correction())
 
 
+def _hk_triple(TF: TwistFrame, hk: HKForms) -> tuple:
+    """The pseudo-hyperKahler triple (omega_i, omega_j, omega_k) in the hatted frame.
+
+    omega_j and omega_k are hk_forms' transcriptions of their displays.
+    omega_i is hk_forms' with its fiber block A^T^B - Phi^Psi negated: the
+    cotangent complex structure acts on covectors by xi -> -xi o I, and with
+    the displayed sign the induced endomorphisms fail I J = K (the product
+    is not even skew-adjoint).
+    """
+    n, di = TF.n, TF.delta_index
+    ATB = _frame_two_forms(TF)[1]
+    Phi_Psi = CForm.basis(TF.m, di(2 * n + 1), di(2 * n + 2))
+    return hk.omega_I - (ATB - Phi_Psi).scale(2.0), hk.omega_J, hk.omega_K
+
+
 def verify_hyperkahler_frame(TF: TwistFrame) -> dict:
     """Mechanical verification that the cotangent space carries the
-    pseudo-hyperKahler triple used by the twist.
+    pseudo-hyperKahler triple used by the twist (_hk_triple).
 
-    omega_J and omega_K are hk_forms' transcriptions of their displays;
-    omega_I is hk_forms' with its fiber block A^T^B - Phi^Psi negated, so
-    that the induced endomorphisms satisfy I J = K (with the displayed
-    sign the product is not even skew-adjoint).  Reports closure of all three, the quaternion
-    relations at t=1, and the rotation of the J/K pair along the circle
-    generator.
+    Reports closure of all three, the quaternion relations at t=1, and the
+    rotation of the J/K pair along the circle generator.
     """
-    n, m = TF.n, TF.m
-    di = TF.delta_index
+    m = TF.m
     hk = hk_forms(TF)
-    ATB = _frame_two_forms(TF)[1]
-    Phi_Psi = CForm.basis(m, di(2 * n + 1), di(2 * n + 2))
-    omega_i = hk.omega_I - (ATB - Phi_Psi).scale(2.0)
-    omega_j, omega_k = hk.omega_J, hk.omega_K
-
-    gram = np.ones(m)
-    gram[TF.idx_phi - 1] = gram[TF.idx_psi - 1] = -1.0
-    gram[di(2 * n + 1) - 1] = gram[di(2 * n + 2) - 1] = -1.0
+    omega_i, omega_j, omega_k = _hk_triple(TF, hk)
+    gram = np.array([hk.g_H[r].eval(1.0, 0.0) for r in range(1, m + 1)])
 
     def endomorphism(f: CForm) -> np.ndarray:
         E = np.zeros((m, m))
@@ -385,34 +378,27 @@ def qk_algebra(L: LieAlgebra, B: AdaptedBasis, cand: PSKCandidate,
 def _output_triple(TF: TwistFrame, sub: dict, scale: float):
     """The three quaternionic two-forms of g_N, transferred to the output frame.
 
-    omega_I is X-invariant as is; the J/K pair rotates under X, so the
-    invariant representatives are the cos/sin recombination.  Constancy
-    after substitution is asserted, not assumed.
+    The g_N triple is the hatted one (_hk_triple) with each plane e^r ^ e^s
+    rescaled by g_N/g_H, which must be the same on e^r and e^s.  omega_I is
+    X-invariant as is; the J/K pair rotates under X, so the invariant
+    representatives are the cos/sin recombination.  Constancy after
+    substitution is asserted, not assumed.
     """
-    n, m = TF.n, TF.m
-    tinv2 = TrigLaurent.t_power(-2, 2.0)
-    tinv1 = TrigLaurent.t_power(-1, 2.0)
+    hk = hk_forms(TF)
+    ratio = {}
+    for r, g in hk.g_H.items():
+        ((k, _, _), c), = g.terms.items()       # g_H[r] is one monomial c t^k
+        ratio[r] = hk.g_N[r] * TrigLaurent.t_power(-k, 1.0 / c)
 
-    # g_N-compatible versions: flip the sign of every negative-signature
-    # plane and rescale by 2/t^2 (metric factor), written via hatted blocks.
-    di = TF.delta_index
-    aTb, ATB, ATa, BTb, ATb, BTa = _frame_two_forms(TF)
-    phi = CForm.basis(m, TF.idx_phi)
-    psi = CForm.basis(m, TF.idx_psi)
-    Phi = CForm.basis(m, di(2 * n + 1))
-    Psi = CForm.basis(m, di(2 * n + 2))
+    def to_g_N(f: CForm) -> CForm:
+        out = {}
+        for (r, s), c in f.coeffs.items():
+            if (ratio[r] - ratio[s]).terms:
+                raise AssertionError(f"g_N/g_H differs between generators {r} and {s}")
+            out[(r, s)] = c * ratio[r]
+        return CForm(f.m, 2, out)
 
-    # The fiber block of omega_I carries the opposite sign to the base
-    # block: the cotangent complex structure acts on covectors by
-    # xi -> -xi o I.  With the same sign the (I, J, K) triple fails
-    # IJ = K; verify_hyperkahler_frame checks the corrected one.
-    omega_i_n = (aTb.scale(2.0) + phi.wedge(psi).scale(tinv1)
-                 - (ATB + Phi.wedge(Psi)).scale(tinv2))
-    omega_j_n = ((ATa + BTb).scale(tinv1) - Phi.wedge(phi).scale(tinv1)
-                 - Psi.wedge(psi).scale(tinv2))
-    omega_k_n = ((ATb - BTa).scale(tinv1) + Psi.wedge(phi).scale(tinv1)
-                 - Phi.wedge(psi).scale(tinv2))
-
+    omega_i_n, omega_j_n, omega_k_n = map(to_g_N, _hk_triple(TF, hk))
     cos, sin = TrigLaurent.cos_tau(), TrigLaurent.sin_tau()
     omega_j_inv = omega_j_n.scale(cos) - omega_k_n.scale(sin)
     omega_k_inv = omega_j_n.scale(sin) + omega_k_n.scale(cos)

@@ -243,7 +243,6 @@ def _accumulate(store: dict, k: int, a: int, b: int, coeff: float) -> None:
         _accumulate(store, k, a + 2 * j, rem, coeff * math.comb(half, j) * (-1.0) ** j)
 
 
-TL_ZERO = TrigLaurent()
 TL_ONE = TrigLaurent.const(1.0)
 
 
@@ -625,14 +624,6 @@ def _lift_matrix(CA: ConeAlgebra, X: np.ndarray, scale: TrigLaurent = TL_ONE) ->
     return CFormMatrix([[_lift(CA.m, entry, scale) for entry in row] for row in X])
 
 
-def _base_curvature(CA: ConeAlgebra, mu: CFormMatrix, lam: CFormMatrix):
-    """Lifted curvature blocks of the base, M~ = d(mu~) + mu~^mu~ - lam~^lam~ and
-    Lam~ = d(lam~) + mu~^lam~ + lam~^mu~, computed with the cone's own d."""
-    M = mu.map(CA.d) + mu.wedge(mu) - lam.wedge(lam)
-    Lam = lam.map(CA.d) + mu.wedge(lam) + lam.wedge(mu)
-    return M, Lam
-
-
 def _omega_s(n: int, m: int) -> CForm:
     """omega~_S = sum_i a~^i ^ b~^i over m generators."""
     omega = CForm.zero(m, 2)
@@ -698,26 +689,27 @@ def _g_matrix(n: int) -> np.ndarray:
     return g
 
 
-def scalar_matmul(S, A: CFormMatrix, side: str = "left") -> CFormMatrix:
-    """Multiply a CForm matrix by a float matrix on the given side."""
-    rows, cols = (S.shape[0], A.cols) if side == "left" else (A.rows, S.shape[1])
-    inner = A.rows if side == "left" else A.cols
+def scalar_matmul(S, A: CFormMatrix) -> CFormMatrix:
+    """The product S A of a float matrix S and a CForm matrix A.  The right
+    product A S is scalar_matmul(S.T, A.transpose()).transpose()."""
     out = []
-    for i in range(rows):
+    for i in range(S.shape[0]):
         row = []
-        for j in range(cols):
+        for j in range(A.cols):
             acc: dict = {}
-            for k in range(inner):
-                s, f = (S[i, k], A[k, j]) if side == "left" else (S[k, j], A[i, k])
+            for k in range(A.rows):
+                s = S[i, k]
                 if s:
-                    _merge(acc, f.scale(float(s)).coeffs)
+                    _merge(acc, A[k, j].scale(float(s)).coeffs)
             row.append(CForm._of(A.m, A.degree, acc))
         out.append(row)
     return CFormMatrix(out)
 
 
-def cone_lc(CA: ConeAlgebra, C: ConnectionData, tol: float = 1e-9) -> CFormMatrix:
-    """Levi-Civita connection matrix of the cone metric in the hatted coframe.
+def cone_lc(CA: ConeAlgebra, mu: CFormMatrix, lam: CFormMatrix,
+            tol: float = 1e-9) -> CFormMatrix:
+    """Levi-Civita connection matrix of the cone metric in the hatted coframe,
+    from the lifted base connection blocks mu~, lam~.
 
     Asserts the structure equation and both defining symmetries; raises
     with the offending block on failure.
@@ -727,7 +719,6 @@ def cone_lc(CA: ConeAlgebra, C: ConnectionData, tol: float = 1e-9) -> CFormMatri
     phi = CForm.basis(m, CA.idx_phi)
     a = [CForm.basis(m, i) for i in range(1, n + 1)]
     b = [CForm.basis(m, n + i) for i in range(1, n + 1)]
-    mu, lam = _lift_matrix(CA, C.mu), _lift_matrix(CA, C.lam)
     rows = []
     for i in range(n):                      # a-block rows
         row = [mu[i, j] for j in range(n)]
@@ -754,43 +745,12 @@ def cone_lc(CA: ConeAlgebra, C: ConnectionData, tol: float = 1e-9) -> CFormMatri
             f"residual {struct[bad, 0].norm_inf():.3e}"
         )
     G, I = _g_matrix(n), _i_matrix(n)
-    sym_g = (scalar_matmul(G, omega.transpose(), "right")
-             + scalar_matmul(G, omega, "left")).norm_inf()
-    sym_i = (scalar_matmul(I, omega, "left") - scalar_matmul(I, omega, "right")).norm_inf()
+    sym_g = (scalar_matmul(G.T, omega).transpose() + scalar_matmul(G, omega)).norm_inf()
+    sym_i = (scalar_matmul(I, omega)
+             - scalar_matmul(I.T, omega.transpose()).transpose()).norm_inf()
     if max(sym_g, sym_i) > tol:
         raise AssertionError(f"cone connection symmetry residuals G={sym_g:.2e} i={sym_i:.2e}")
     return omega
-
-
-@dataclass(frozen=True)
-class EtaForm:
-    """Difference of the special and Levi-Civita connections on the cone.
-
-    Only the upper-left 2n x 2n part is populated, with block pattern
-    [[u, v], [v, -u]] for symmetric matrices u, v of one-forms in the
-    span of a~, b~."""
-
-    matrix: CFormMatrix
-    u: CFormMatrix
-    v: CFormMatrix
-
-
-def eta_from_pq(CA: ConeAlgebra, p, q) -> EtaForm:
-    """u = p~ cos(2 tau) - q~ sin(2 tau), v = p~ sin(2 tau) + q~ cos(2 tau)."""
-    n = CA.n
-    m = CA.m
-    cz, sz = TrigLaurent.cos_2tau(), TrigLaurent.sin_2tau()
-    u = _lift_matrix(CA, p, cz) - _lift_matrix(CA, q, sz)
-    v = _lift_matrix(CA, p, sz) + _lift_matrix(CA, q, cz)
-    zero = CForm.zero(m, 1)
-    rows = []
-    for i in range(n):
-        rows.append(list(u.entries[i]) + list(v.entries[i]) + [zero, zero])
-    for i in range(n):
-        rows.append(list(v.entries[i]) + [-f for f in u.entries[i]] + [zero, zero])
-    rows.append([zero] * m)
-    rows.append([zero] * m)
-    return EtaForm(CFormMatrix(rows), u, v)
 
 
 def curvature_of(CA: ConeAlgebra, omega: CFormMatrix) -> CFormMatrix:
@@ -798,61 +758,98 @@ def curvature_of(CA: ConeAlgebra, omega: CFormMatrix) -> CFormMatrix:
     return omega.map(CA.d) + omega.wedge(omega)
 
 
-def verify_eta_conditions(CA: ConeAlgebra, eta: EtaForm, omega_nabla: CFormMatrix,
-                          curvature: CFormMatrix | None = None) -> dict:
-    """Residuals of the six special conditions for omega_nabla = omega_LC + eta.
+@dataclass(frozen=True, eq=False)
+class SpecialCone:
+    """The special connection omega_nabla = omega_LC + eta on one cone.
 
-    ``curvature`` is curvature_of(CA, omega_nabla) when the caller already
-    has it; it is computed here otherwise.
+    mu, lam are the lifted base connection blocks and p, q the base data
+    that u, v lift.  eta, the difference of the special and Levi-Civita
+    connections, is populated only in its upper-left 2n x 2n part, with
+    block pattern [[u, v], [v, -u]] for symmetric matrices u, v of one-forms
+    in the span of a~, b~.  omega_nabla, its curvature Omega and the lifted
+    base curvature are built on first use and kept.
     """
-    n = CA.n
-    m = CA.m
+
+    CA: ConeAlgebra
+    p: np.ndarray
+    q: np.ndarray
+    mu: CFormMatrix
+    lam: CFormMatrix
+    u: CFormMatrix
+    v: CFormMatrix
+    eta: CFormMatrix
+    omega_lc: CFormMatrix
+
+    @cached_property
+    def omega_nabla(self) -> CFormMatrix:
+        return self.omega_lc + self.eta
+
+    @cached_property
+    def curvature(self) -> CFormMatrix:
+        """Omega = curvature_of(CA, omega_nabla)."""
+        return curvature_of(self.CA, self.omega_nabla)
+
+    @cached_property
+    def base_curvature(self) -> tuple:
+        """Lifted curvature blocks of the base, M~ = d(mu~) + mu~^mu~ - lam~^lam~
+        and Lam~ = d(lam~) + mu~^lam~ + lam~^mu~, computed with the cone's own d."""
+        d, mu, lam = self.CA.d, self.mu, self.lam
+        M = mu.map(d) + mu.wedge(mu) - lam.wedge(lam)
+        Lam = lam.map(d) + mu.wedge(lam) + lam.wedge(mu)
+        return M, Lam
+
+
+def special_cone(CA: ConeAlgebra, conn: ConnectionData, p, q) -> SpecialCone:
+    """Lift the base connection and p, q into the cone:
+    u = p~ cos(2 tau) - q~ sin(2 tau), v = p~ sin(2 tau) + q~ cos(2 tau)."""
+    n, m = CA.n, CA.m
+    mu, lam = _lift_matrix(CA, conn.mu), _lift_matrix(CA, conn.lam)
+    cz, sz = TrigLaurent.cos_2tau(), TrigLaurent.sin_2tau()
+    u = _lift_matrix(CA, p, cz) - _lift_matrix(CA, q, sz)
+    v = _lift_matrix(CA, p, sz) + _lift_matrix(CA, q, cz)
+    zero = CForm.zero(m, 1)
+    rows = [list(u.entries[i]) + list(v.entries[i]) + [zero, zero] for i in range(n)]
+    rows += [list(v.entries[i]) + [-f for f in u.entries[i]] + [zero, zero]
+             for i in range(n)]
+    rows += [[zero] * m, [zero] * m]
+    return SpecialCone(CA=CA, p=p, q=q, mu=mu, lam=lam, u=u, v=v,
+                       eta=CFormMatrix(rows), omega_lc=cone_lc(CA, mu, lam))
+
+
+def verify_eta_conditions(sc: SpecialCone) -> dict:
+    """Residuals of the six special conditions for omega_nabla = omega_LC + eta."""
+    CA = sc.CA
     theta = CFormMatrix([[f] for f in CA.hatted_coframe()])
-    G, I = _g_matrix(n), _i_matrix(n)
-    em = eta.matrix
+    G, I = _g_matrix(CA.n), _i_matrix(CA.n)
+    em = sc.eta
     # eta anticommutes with the complex structure but COMMUTES with G in
     # the pairing sense (eta^T G = G eta); together these say eta is
     # symmetric for the symplectic pairing G*i, which is what
     # "special symplectic" preserves.
-    report = {
+    return {
         "torsion": em.wedge(theta).norm_inf(),
-        "special_symplectic_i": (scalar_matmul(I, em, "left")
-                                 + scalar_matmul(I, em, "right")).norm_inf(),
-        "special_symplectic_g": (scalar_matmul(G, em.transpose(), "right")
-                                 - scalar_matmul(G, em, "left")).norm_inf(),
+        "special_symplectic_i": (scalar_matmul(I, em)
+                                 + scalar_matmul(I.T, em.transpose()).transpose()).norm_inf(),
+        "special_symplectic_g": (scalar_matmul(G.T, em).transpose()
+                                 - scalar_matmul(G, em)).norm_inf(),
         "conic_x": em.map(CA.interior_x).norm_inf(),
         "conic_jx": em.map(CA.interior_jx).norm_inf(),
-        "flatness": (curvature if curvature is not None
-                     else curvature_of(CA, omega_nabla)).norm_inf(),
+        "flatness": sc.curvature.norm_inf(),
     }
-    return report
 
 
-def special_blocks(CA: ConeAlgebra, C: ConnectionData, p, q,
-                   kappa: np.ndarray | None = None, match_tol: float = 1e-9, *,
-                   eta: EtaForm | None = None, curvature: CFormMatrix | None = None):
+def special_blocks(sc: SpecialCone):
     """Flatness blocks (T, U, V, W) of the special connection.
 
     Computed honestly from Omega = d(omega_nabla) + omega_nabla^2 and
     cross-checked against the displayed formulas (first terms taken as
-    the curvature blocks, as dimensional analysis requires).  Passing an
-    explicit kappa overrides the cone's own, without re-verifying
-    d*d = 0 -- that is precisely how a wrong kappa shows up as U, V != 0.
-
-    A caller that already built eta_from_pq(CA, p, q) and its curvature
-    Omega on CA passes them as ``eta`` and ``curvature``; both are then
-    used as given, and omega_LC is not rebuilt.
+    the curvature blocks, as dimensional analysis requires).  A cone whose
+    kappa is not the candidate's (built with dataclasses.replace, so d*d = 0
+    is not re-verified) shows up here as U, V != 0.
     """
-    if kappa is not None and kappa is not CA.kappa:
-        if curvature is not None:
-            raise ValueError("a precomputed curvature belongs to the cone's own kappa")
-        CA = ConeAlgebra(L=CA.L, B=CA.B, kappa=kappa, d_rules=CA.d_rules, exact=True)
+    CA = sc.CA
     n = CA.n
-    if eta is None:
-        eta = eta_from_pq(CA, p, q)
-    Om = curvature
-    if Om is None:
-        Om = curvature_of(CA, cone_lc(CA, C) + eta.matrix)
+    Om = sc.curvature
 
     def block(r0, c0):
         return CFormMatrix([[Om[r0 + i, c0 + j] for j in range(n)] for i in range(n)])
@@ -869,9 +866,8 @@ def special_blocks(CA: ConeAlgebra, C: ConnectionData, p, q,
     a = [CForm.basis(m, i + 1) for i in range(n)]
     b = [CForm.basis(m, n + i + 1) for i in range(n)]
     omega_s = _omega_s(n, m)
-    u, v = eta.u, eta.v
-    mu, lam = _lift_matrix(CA, C.mu), _lift_matrix(CA, C.lam)
-    M_l, L_l = _base_curvature(CA, mu, lam)
+    u, v, mu, lam = sc.u, sc.v, sc.mu, sc.lam
+    M_l, L_l = sc.base_curvature
     phi = CForm.basis(m, CA.idx_phi)
     aaT = CFormMatrix([[a[i].wedge(a[j]) for j in range(n)] for i in range(n)])
     bbT = CFormMatrix([[b[i].wedge(b[j]) for j in range(n)] for i in range(n)])
@@ -893,27 +889,20 @@ def special_blocks(CA: ConeAlgebra, C: ConnectionData, p, q,
         (T - T_disp).norm_inf(), (U - U_disp).norm_inf(),
         (V - V_disp).norm_inf(), (W - W_disp).norm_inf(),
     )
-    scale = 1.0 + CA.L.max_constant() ** 2 + max_abs(p) ** 2 + max_abs(q) ** 2
-    if mismatch > match_tol * scale:
+    scale = 1.0 + CA.L.max_constant() ** 2 + max_abs(sc.p) ** 2 + max_abs(sc.q) ** 2
+    if mismatch > 1e-9 * scale:
         raise AssertionError(
             f"honest curvature blocks disagree with displayed formulas by {mismatch:.3e}"
         )
     return T, U, V, W
 
 
-def special_block_residual(CA: ConeAlgebra, C: ConnectionData, p, q,
-                           kappa: np.ndarray | None = None) -> float:
-    T, U, V, W = special_blocks(CA, C, p, q, kappa)
-    return max(T.norm_inf(), U.norm_inf(), V.norm_inf(), W.norm_inf())
-
-
-def integrability_display_residual(CA: ConeAlgebra, C: ConnectionData, p, q) -> float:
+def integrability_display_residual(sc: SpecialCone) -> float:
     """Residual of the differentiated-flatness displays in (u, v) form:
     M~^u - u^M~ + Lam~^v + v^Lam~ + 4 omega~_S ^ v  (and its partner)."""
-    eta = eta_from_pq(CA, p, q)
-    u, v = eta.u, eta.v
-    M_l, L_l = _base_curvature(CA, _lift_matrix(CA, C.mu), _lift_matrix(CA, C.lam))
-    omega_s = _omega_s(CA.n, CA.m)
+    u, v = sc.u, sc.v
+    M_l, L_l = sc.base_curvature
+    omega_s = _omega_s(sc.CA.n, sc.CA.m)
     r1 = (M_l.wedge(u) - u.wedge(M_l) + L_l.wedge(v) + v.wedge(L_l)
           + v.map(lambda f: omega_s.wedge(f).scale(4.0)))
     r2 = (M_l.wedge(v) - v.wedge(M_l) - L_l.wedge(u) - u.wedge(L_l)
@@ -928,4 +917,4 @@ def oracle_residual(L: LieAlgebra, B: AdaptedBasis, cand) -> float:
     C = levi_civita(L, B)
     CA = cone_coframe(L, B, cand.kappa)
     p, q = pq_from_tensors(cand.Sa, cand.Sb)
-    return special_block_residual(CA, C, p, q)
+    return max(X.norm_inf() for X in special_blocks(special_cone(CA, C, p, q)))

@@ -69,13 +69,6 @@ def sort_with_sign(indices):
 # -- adapted-basis helpers -------------------------------------------
 
 
-def coframe_labels(n: int, cone: bool = False) -> list:
-    labels = [f"a{i}" for i in range(1, n + 1)] + [f"b{i}" for i in range(1, n + 1)]
-    if cone:
-        labels += ["phi", "psi"]
-    return labels
-
-
 def all_keys(m: int, degree: int):
     """All strictly increasing index tuples, in lexicographic order."""
     return list(combinations(range(1, m + 1), degree))

@@ -10,6 +10,7 @@ d_matrix(L, k), expanded from the brackets each time it is asked for.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -33,6 +34,8 @@ class LieAlgebra:
                 raise ValueError(f"bad bracket indices ({i},{j},{k})")
             if (i, j, k) in seen:
                 raise ValueError(f"duplicate bracket entry ({i},{j},{k})")
+            if not math.isfinite(c):
+                raise ValueError(f"non-finite bracket constant {c!r} at ({i},{j},{k})")
             seen.add((i, j, k))
 
     @classmethod
@@ -44,8 +47,9 @@ class LieAlgebra:
             if i > j:
                 i, j, c = j, i, -c
             merged[(i, j, k)] = merged.get((i, j, k), 0.0) + float(c)
+        # a NaN fails abs(c) <= 1e-15 too, so it is kept for __post_init__ to reject
         items = tuple(
-            (i, j, k, c) for (i, j, k), c in sorted(merged.items()) if abs(c) > 1e-15
+            (i, j, k, c) for (i, j, k), c in sorted(merged.items()) if not abs(c) <= 1e-15
         )
         return cls(dim, items)
 

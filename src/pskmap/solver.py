@@ -306,7 +306,6 @@ class SolveResult:
     mode: str
     start_residuals: list
     distinct_orbits: int
-    raw_solution: np.ndarray | None = None
 
 
 def _gauge_angle(Sa: SymTensor3, Sb: SymTensor3):
@@ -381,7 +380,6 @@ def solve(geom: Geometry, cfg: SolveConfig = SolveConfig()) -> SolveResult:
         mode="full" if geom.exact else "kappa_free",
         start_residuals=[f[0] for f in finals],
         distinct_orbits=len(orbits),
-        raw_solution=best_x,
     )
 
 
@@ -426,9 +424,6 @@ class ScanResult:
     points: list
     feasible: list
     polished: list
-
-    def as_pairs(self):
-        return [(p.parameter, p.best_residual) for p in self.points]
 
 
 def scan_curvature(family, lo: float, hi: float, steps: int,

@@ -21,7 +21,7 @@ from pskmap.catalog import (
     random_kahler_algebra,
 )
 from pskmap.cmap import qk_algebra, qk_verify
-from pskmap.cone import cone_coframe, oracle_residual, special_blocks
+from pskmap.cone import cone_coframe, oracle_residual, special_blocks, special_cone
 from pskmap.connection import (
     _koszul_matrix,
     _structural_residual,
@@ -328,7 +328,7 @@ class TestCriterion8PropertySuites:
             sa = SymTensor3.from_vector(2, rng.uniform(-1, 1, 4))
             sb = SymTensor3.from_vector(2, rng.uniform(-1, 1, 4))
             p, q = pq_from_tensors(sa, sb)
-            T, U, V, W = special_blocks(CA, conn, p, q)
+            T, U, V, W = special_blocks(special_cone(CA, conn, p, q))
             assert T.nonconstant_norm() < 1e-12
             assert W.nonconstant_norm() < 1e-12
             count += 1

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 from pathlib import Path
@@ -23,12 +24,10 @@ from pskmap.cone import (
     DSquaredError,
     TrigLaurent,
     cone_coframe,
-    cone_lc,
-    eta_from_pq,
     integrability_display_residual,
     oracle_residual,
-    special_block_residual,
     special_blocks,
+    special_cone,
     verify_eta_conditions,
 )
 from pskmap.catalog import conjugate_algebra
@@ -43,6 +42,13 @@ from pskmap.lie import solve_primitive
 def _padded(x, m):
     """A dense base one-form (a row of p or q) over the m cone generators."""
     return np.pad(x, (0, m - len(x)))
+
+
+def _special_cone(L, B, cand):
+    CA = cone_coframe(L, B, cand.kappa)
+    p, q = pq_from_tensors(cand.Sa, cand.Sb)
+    return special_cone(CA, levi_civita(L, B), p, q)
+
 
 # Monomials t^k cos^a sin^b with negative t powers and unreduced sin powers;
 # the public constructor reduces them to canonical form.
@@ -191,63 +197,49 @@ class TestConeCoframe:
 
 
 class TestConeLeviCivita:
+    # special_cone builds omega_LC with cone_lc, which raises on any residual
     def test_abelian_cone_structural(self):
         L, B = abelian(1)
-        CA = cone_coframe(L, B, None)
-        cone_lc(CA, levi_civita(L, B))  # raises on any residual
+        zero = np.zeros((1, 1, 2))
+        special_cone(cone_coframe(L, B, None), levi_civita(L, B), zero, zero)
 
     def test_ch1_structural(self):
-        L, B = ch1(2.0)
-        CA = cone_coframe(L, B, ch1_flat_candidate(2.0).kappa)
-        cone_lc(CA, levi_civita(L, B))
+        _special_cone(*ch1(2.0), ch1_flat_candidate(2.0))
 
     def test_product_structural(self):
-        L, B = four_dim_example()
-        CA = cone_coframe(L, B, four_dim_candidate().kappa)
-        cone_lc(CA, levi_civita(L, B))
+        _special_cone(*four_dim_example(), four_dim_candidate())
 
 
 class TestEta:
     def test_tau_zero_slice_is_p(self):
         L, B = four_dim_example()
         cand = four_dim_candidate()
-        CA = cone_coframe(L, B, cand.kappa)
+        sc = _special_cone(L, B, cand)
         p, q = pq_from_tensors(cand.Sa, cand.Sb)
-        eta = eta_from_pq(CA, p, q)
         for i in range(2):
             for j in range(2):
-                u0 = eta.u[i, j].eval_at(1.0, 0.0)
-                assert max_abs(u0 - _padded(p[i, j], CA.m)) < 1e-14
-                v0 = eta.v[i, j].eval_at(1.0, 0.0)
-                assert max_abs(v0 - _padded(q[i, j], CA.m)) < 1e-14
+                u0 = sc.u[i, j].eval_at(1.0, 0.0)
+                assert max_abs(u0 - _padded(p[i, j], sc.CA.m)) < 1e-14
+                v0 = sc.v[i, j].eval_at(1.0, 0.0)
+                assert max_abs(v0 - _padded(q[i, j], sc.CA.m)) < 1e-14
 
     def test_quarter_z_slice(self):
         # at tau = pi/8 the rotation angle is pi/4: u = (p - q)/sqrt(2)
         L, B = four_dim_example()
         cand = four_dim_candidate()
-        CA = cone_coframe(L, B, cand.kappa)
+        sc = _special_cone(L, B, cand)
         p, q = pq_from_tensors(cand.Sa, cand.Sb)
-        eta = eta_from_pq(CA, p, q)
-        u = eta.u[0, 1].eval_at(1.0, math.pi / 8)
-        expect = _padded(p[0, 1] - q[0, 1], CA.m) / math.sqrt(2)
+        u = sc.u[0, 1].eval_at(1.0, math.pi / 8)
+        expect = _padded(p[0, 1] - q[0, 1], sc.CA.m) / math.sqrt(2)
         assert max_abs(u - expect) < 1e-12
 
     def test_zero_candidate_zero_eta(self):
-        L, B = ch1(2.0)
-        cand = ch1_flat_candidate(2.0)
-        CA = cone_coframe(L, B, cand.kappa)
-        p, q = pq_from_tensors(cand.Sa, cand.Sb)
-        assert eta_from_pq(CA, p, q).matrix.norm_inf() == 0.0
+        assert _special_cone(*ch1(2.0), ch1_flat_candidate(2.0)).eta.norm_inf() == 0.0
 
 
 class TestEtaConditions:
     def _report(self, L, B, cand):
-        conn = levi_civita(L, B)
-        CA = cone_coframe(L, B, cand.kappa)
-        p, q = pq_from_tensors(cand.Sa, cand.Sb)
-        eta = eta_from_pq(CA, p, q)
-        omega = cone_lc(CA, conn)
-        return verify_eta_conditions(CA, eta, omega + eta.matrix)
+        return verify_eta_conditions(_special_cone(L, B, cand))
 
     def test_worked_example_all_zero(self):
         L, B = four_dim_example()
@@ -269,22 +261,13 @@ class TestEtaConditions:
 
 class TestSpecialBlocks:
     def test_worked_example_vanishes_identically(self):
-        L, B = four_dim_example()
-        cand = four_dim_candidate()
-        conn = levi_civita(L, B)
-        CA = cone_coframe(L, B, cand.kappa)
-        p, q = pq_from_tensors(cand.Sa, cand.Sb)
-        T, U, V, W = special_blocks(CA, conn, p, q)
+        T, U, V, W = special_blocks(_special_cone(*four_dim_example(), four_dim_candidate()))
         assert max(x.norm_inf() for x in (T, U, V, W)) < 1e-12
 
     def test_flat_model(self):
         for n in (1, 2):
-            L, B = complex_hyperbolic(n)
-            cand = complex_hyperbolic_candidate(n)
-            conn = levi_civita(L, B)
-            CA = cone_coframe(L, B, cand.kappa)
-            p, q = pq_from_tensors(cand.Sa, cand.Sb)
-            assert special_block_residual(CA, conn, p, q) < 1e-12
+            sc = _special_cone(*complex_hyperbolic(n), complex_hyperbolic_candidate(n))
+            assert max(x.norm_inf() for x in special_blocks(sc)) < 1e-12
 
     def test_doubled_kappa_breaks_uv_only(self):
         L, B = four_dim_example()
@@ -292,7 +275,9 @@ class TestSpecialBlocks:
         conn = levi_civita(L, B)
         CA = cone_coframe(L, B, cand.kappa)
         p, q = pq_from_tensors(cand.Sa, cand.Sb)
-        T, U, V, W = special_blocks(CA, conn, p, q, kappa=2.0 * cand.kappa)
+        # replace skips cone_coframe's d^2 check, which would reject 2 kappa
+        wrong = dataclasses.replace(CA, kappa=2.0 * cand.kappa)
+        T, U, V, W = special_blocks(special_cone(wrong, conn, p, q))
         assert T.norm_inf() < 1e-12
         assert W.norm_inf() < 1e-12
         assert U.norm_inf() > 1.0
@@ -308,7 +293,7 @@ class TestSpecialBlocks:
             sa = SymTensor3.from_vector(2, rng.uniform(-1, 1, 4))
             sb = SymTensor3.from_vector(2, rng.uniform(-1, 1, 4))
             p, q = pq_from_tensors(sa, sb)
-            T, U, V, W = special_blocks(CA, conn, p, q)
+            T, U, V, W = special_blocks(special_cone(CA, conn, p, q))
             assert T.nonconstant_norm() < 1e-12
             assert W.nonconstant_norm() < 1e-12
             count += 1
@@ -322,11 +307,11 @@ class TestSpecialBlocks:
         conn = levi_civita(L, B)
         p, q = pq_from_tensors(cand.Sa, cand.Sb)
         shifted = cand.kappa + np.array([0.4, 0.0, 0.0, 0.0])
-        CA = cone_coframe(L, B, shifted)
-        T, U, V, W = special_blocks(CA, conn, p, q)
+        sc = special_cone(cone_coframe(L, B, shifted), conn, p, q)
+        T, U, V, W = special_blocks(sc)
         assert max(T.norm_inf(), W.norm_inf()) < 1e-12
         assert max(U.norm_inf(), V.norm_inf()) > 0.1
-        assert integrability_display_residual(CA, conn, p, q) < 1e-12
+        assert integrability_display_residual(sc) < 1e-12
 
 
 class TestOracleEquivalence:
@@ -413,7 +398,6 @@ FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 
 class TestConeVerifyCommand:
     def test_builds_curvature_and_lc_once(self, monkeypatch, capsys):
-        import pskmap.cli as cli_module
         import pskmap.cone as cone_module
 
         calls = {"curvature_of": 0, "cone_lc": 0}
@@ -424,8 +408,7 @@ class TestConeVerifyCommand:
                 calls[_name] += 1
                 return _original(*args, **kwargs)
 
-            for module in (cone_module, cli_module):
-                monkeypatch.setattr(module, name, counted)
+            monkeypatch.setattr(cone_module, name, counted)
         assert main(["cone-verify", str(FIXTURES / "ch1_cubed.json")]) == 0
         assert calls == {"curvature_of": 1, "cone_lc": 1}
 

@@ -169,6 +169,12 @@ class TestCLI:
         assert "PSK_SEED" in captured.err and "Traceback" not in captured.err
         assert main(["solve", fixture("ch1_c2.json"), "--starts", "4", "--seed", "3"]) == 0
 
+    def test_env_seed_negative(self, capsys, monkeypatch):
+        monkeypatch.setenv("PSK_SEED", "-1")
+        assert main(["solve", fixture("ch1_c2.json"), "--starts", "4"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and "PSK_SEED" in captured.err
+
     def test_scan_table(self, tmp_path, capsys):
         table = tmp_path / "scan.txt"
         code = main([
@@ -299,3 +305,57 @@ def test_internal_error_exits_5(monkeypatch, capsys, command):
     captured = capsys.readouterr()
     assert captured.err == "internal error: RuntimeError: planted failure\n"
     assert captured.out == ""
+
+
+@pytest.mark.parametrize("options", [
+    ["--values", "nan,2"],
+    ["--values", "2,-inf"],
+    ["--values", "1e400"],
+    ["--values", "2,1e51"],
+    ["--range", "1", "inf"],
+    ["--range", "nan", "2"],
+])
+def test_scan_non_finite_parameter_exits_2(options, capsys):
+    # The file rule (io.MAX_MAGNITUDE, finite) holds for --values and --range too.
+    args = ["scan", fixture("ch1_family.json"), *options, "--starts", "2", "--seed", "1"]
+    assert main(args) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "scan parameter" in captured.err and "Traceback" not in captured.err
+
+
+COMMAND_ARGS = {
+    "check": [fixture("ch1_c1.json")],
+    "solve": [fixture("ch1_c2.json"), "--seed", "1"],
+    "scan": [fixture("ch1_family.json"), "--values", "2", "--seed", "1"],
+    "cone-verify": [fixture("four_dim.json")],
+    "cmap": [fixture("four_dim.json")],
+}
+COMMAND_OPTIONS = {
+    "check": ("--tol",),
+    "solve": ("--tol", "--starts", "--seed"),
+    "scan": ("--tol", "--starts", "--steps", "--seed"),
+    "cone-verify": ("--tol",),
+    "cmap": ("--tol",),
+}
+BAD_OPTION_VALUES = {
+    "--tol": ("inf", "nan", "0", "-1e-8", "1e51"),
+    "--starts": ("0", "-2"),
+    "--steps": ("0",),
+    "--seed": ("-1",),
+}
+
+
+@pytest.mark.parametrize("command,option,value", [
+    (command, option, value)
+    for command, options in COMMAND_OPTIONS.items()
+    for option in options
+    for value in BAD_OPTION_VALUES[option]
+])
+def test_malformed_numeric_option_exits_2(command, option, value, capsys):
+    # --tol must be finite and positive, --starts and --steps at least 1 and
+    # --seed non-negative; anything else is a usage error, not a verdict.
+    assert main([command, *COMMAND_ARGS[command], f"{option}={value}"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert option in captured.err and "Traceback" not in captured.err

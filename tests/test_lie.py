@@ -47,6 +47,16 @@ class TestJacobi:
         assert jacobi_residual(L) > 0.5
 
 
+@pytest.mark.parametrize("c", [math.nan, math.inf, -math.inf])
+def test_non_finite_constant_rejected(c):
+    # from_brackets used to drop a NaN (abs(nan) > 1e-15 is False), leaving
+    # the abelian algebra
+    with pytest.raises(ValueError, match="non-finite"):
+        LieAlgebra.from_brackets(2, [(1, 2, 2, c)])
+    with pytest.raises(ValueError, match="non-finite"):
+        LieAlgebra(2, ((1, 2, 2, c),))
+
+
 class TestDifferential:
     """lie.d_matrix on dense forms."""
 

@@ -7,9 +7,15 @@ flip of the oracle's own bracket rules (cone.cone_coframe) by the cone's
 d^2 = 0 check on its tau-dependent coefficients; the kappa-sign and curvature cases by the intrinsic
 residuals alone, so the oracle (which has no such sign and computes its own
 base curvature) disagrees with them as acceptance 6 would report; the
-exponential-sign case by the twist's invariance check.
+exponential-sign case by the twist's invariance check.  The cone checks its
+own wiring too: a lifted lam that does not match the Levi-Civita connection
+is caught by cone_lc's structure equation, and a SpecialCone whose mu
+disagrees with its omega_LC by special_blocks' cross-check of the honest
+curvature blocks against their displayed formulas.  A g_N that is not a
+rescaling of g_H plane by plane is refused by the twist's output triple.
 """
 
+import dataclasses
 import math
 import sys
 
@@ -21,11 +27,31 @@ import pskmap.cone as cone_module
 import pskmap.connection as connection_module
 import pskmap.intrinsic as intrinsic_module
 import pskmap.lie as lie_module
-from pskmap.catalog import ch1, ch1_candidate, four_dim_candidate, four_dim_example
+from pskmap.catalog import (
+    ch1,
+    ch1_candidate,
+    complex_hyperbolic,
+    complex_hyperbolic_candidate,
+    four_dim_candidate,
+    four_dim_example,
+)
 from pskmap.cmap import NonConstantError, qk_algebra
-from pskmap.cone import DSquaredError, oracle_residual
+from pskmap.cone import (
+    DSquaredError,
+    TrigLaurent,
+    cone_coframe,
+    cone_lc,
+    oracle_residual,
+    special_blocks,
+    special_cone,
+)
 from pskmap.connection import levi_civita
-from pskmap.intrinsic import all_residuals
+from pskmap.intrinsic import all_residuals, pq_from_tensors
+
+
+def _special_cone(L, B, cand):
+    CA = cone_coframe(L, B, cand.kappa)
+    return special_cone(CA, levi_civita(L, B), *pq_from_tensors(cand.Sa, cand.Sb))
 
 
 def test_koszul_sign_flip_caught_by_structure_equation(monkeypatch):
@@ -116,4 +142,35 @@ def test_exponential_sign_caught_by_twist(monkeypatch):
     qk_algebra(L, B, four_dim_candidate())
     monkeypatch.setattr(cmap_module, "EXP_SIGN", +1.0)
     with pytest.raises(NonConstantError):
+        qk_algebra(L, B, four_dim_candidate())
+
+
+def test_lifted_lam_scale_caught_by_cone_structure_equation():
+    sc = _special_cone(*four_dim_example(), four_dim_candidate())
+    cone_lc(sc.CA, sc.mu, sc.lam)
+    with pytest.raises(AssertionError, match="cone structure equation fails"):
+        cone_lc(sc.CA, sc.mu, sc.lam.map(lambda f: f.scale(1.01)))
+
+
+def test_lifted_mu_scale_caught_by_display_cross_check():
+    # CH(2) has mu != 0 (four_dim and CH(1)^k have mu = 0).  omega_LC, and so
+    # the honest curvature Omega, stays right; only the displays read mu.
+    sc = _special_cone(*complex_hyperbolic(2), complex_hyperbolic_candidate(2))
+    special_blocks(sc)
+    bad = dataclasses.replace(sc, mu=sc.mu.map(lambda f: f.scale(1.01)))
+    with pytest.raises(AssertionError, match="honest curvature blocks disagree"):
+        special_blocks(bad)
+
+
+def test_metric_ratio_mismatch_caught_by_output_triple(monkeypatch):
+    # g_N/g_H on phi no longer matches psi, its partner in omega_I's phi ^ psi
+    original = cmap_module.hk_forms
+
+    def bad_hk_forms(TF):
+        hk = original(TF)
+        return dataclasses.replace(hk, g_N={**hk.g_N, TF.idx_phi: TrigLaurent.const(3.0)})
+
+    L, B = four_dim_example()
+    monkeypatch.setattr(cmap_module, "hk_forms", bad_hk_forms)
+    with pytest.raises(AssertionError, match="g_N/g_H differs"):
         qk_algebra(L, B, four_dim_candidate())
