@@ -108,6 +108,11 @@ def cmd_check(args) -> int:
     return EXIT_OK if ok else EXIT_RESIDUAL
 
 
+def _unwritable(path: str, exc: OSError) -> ParseError:
+    """An output path that cannot be written is a usage error (exit 2)."""
+    return ParseError(f"cannot write {path}: {exc.strerror or exc}")
+
+
 def cmd_solve(args) -> int:
     af = load_algebra_file(args.path)
     cfg = SolveConfig(starts=args.starts, seed=args.seed,
@@ -158,8 +163,11 @@ def cmd_scan(args) -> int:
     table = "\n".join(f"{p.parameter:.12g}\t{p.best_residual:.17g}"
                       for p in result.points)
     if args.table:
-        with open(args.table, "w", encoding="utf-8") as fh:
-            fh.write("# parameter\tbest_residual\n" + table + "\n")
+        try:
+            with open(args.table, "w", encoding="utf-8") as fh:
+                fh.write("# parameter\tbest_residual\n" + table + "\n")
+        except OSError as exc:
+            raise _unwritable(args.table, exc) from None
     payload = {
         "points": [[p.parameter, p.best_residual] for p in result.points],
         "statuses": [p.status for p in result.points],
@@ -216,7 +224,10 @@ def cmd_cmap(args) -> int:
     rep = qk_verify(Q)
     if args.output:
         out_B = AdaptedBasis(Q.dim // 2)
-        save_algebra_file(args.output, Q.algebra, out_B, labels=Q.labels)
+        try:
+            save_algebra_file(args.output, Q.algebra, out_B, labels=Q.labels)
+        except OSError as exc:
+            raise _unwritable(args.output, exc) from None
     payload = {
         "dimension": rep.dim,
         "jacobi_residual": rep.jacobi_residual,

@@ -9,8 +9,8 @@ structure of the equations on the dense exterior-algebra kernel of
 forms.py, where the connection, the curvature and the residual equations
 already live.  residual_vector, the reference it is tested against,
 evaluates the equations directly at one point (x -> p, q -> wedges),
-without the compile's per-unknown basis.  Evaluation and the exact
-Jacobian then take one BLAS matrix-vector product with Q.
+without the compile's per-unknown basis.  Q is held as COO triplets,
+and evaluation and the exact Jacobian take one np.bincount over them.
 
 When the invariant Kahler form has no invariant primitive the
 kappa-dependent equations cannot be posed; geometries built with
@@ -175,9 +175,10 @@ class CompiledResidual:
     basis arrays q_u and p_u, and kappa is affine in the kernel
     coefficients, so every block of (r0, A, Q) is a wedge of fixed data
     with q_u, p_u or each other on the dense kernel of forms.py.  The row
-    order is that of residual_vector.  Evaluation is one matrix-vector
-    product with Q viewed as (R*d, d): with Qx = Q x, r = r0 + (A + Qx) x
-    and the Jacobian is A + 2 Qx.
+    order is that of residual_vector.  Q is over 99% zeros, so Q[r, i, j] = v
+    is held as the triplet (q_rows, q_cols, q_vals) = (r * d + i, j, v), with
+    (i, j) and (j, i) both kept.  One np.bincount gives Qx = Q x as (R, d):
+    r = r0 + (A + Qx) x and the Jacobian is A + 2 Qx = A + Q(2x).
     """
 
     def __init__(self, geom: Geometry):
@@ -190,25 +191,31 @@ class CompiledResidual:
         block = n * n * c2
         second = n * n * comb(m, 2 if geom.exact else 3)
         R = 2 * block + 2 * second
-        r0, A, Q = np.zeros(R), np.zeros((R, d)), np.zeros((R, d, d))
+        r0, A = np.zeros(R), np.zeros((R, d))
+        triplets = []
+
+        def add(rows, i, j, vals):
+            triplets.append((rows * d + i, j, vals))
 
         # Curvature pair: M + p^p + q^q = M_CH and Lam + p^q - q^p = Lam_CH.
         model = ch_model(n)
         r0[:block] = (geom.curv.M - model.M).ravel()
         r0[block:2 * block] = (geom.curv.Lam - model.Lam).ravel()
 
-        def write_symmetrised(start, X1, Y1, X2, Y2, sign):
+        def add_symmetrised(start, X1, Y1, X2, Y2, sign):
             prod = (ext.pair_wedge_matrix(X1, Y1, 1, 1)
                     + sign * ext.pair_wedge_matrix(X2, Y2, 1, 1)).reshape(c2, T, T)
-            Q[start:start + c2, :T, :T] = 0.5 * (prod + prod.transpose(0, 2, 1))
+            sym = 0.5 * (prod + prod.transpose(0, 2, 1))
+            key, u, v = np.nonzero(sym)
+            add(start + key, u, v, sym[key, u, v])
 
         # One matrix entry at a time keeps the temporaries small.
         for i, j in product(range(n), repeat=2):
             p_i, q_i = ps[:, i:i + 1], qs[:, i:i + 1]
             p_j, q_j = ps[:, :, j:j + 1], qs[:, :, j:j + 1]
             entry = (i * n + j) * c2
-            write_symmetrised(entry, p_i, p_j, q_i, q_j, 1.0)
-            write_symmetrised(block + entry, p_i, q_j, q_i, p_j, -1.0)
+            add_symmetrised(entry, p_i, p_j, q_i, q_j, 1.0)
+            add_symmetrised(block + entry, p_i, q_j, q_i, p_j, -1.0)
 
         # Second pair, linear in (p, q); the q-equation is the p-equation
         # with (p, q) -> (q, -p).
@@ -227,8 +234,9 @@ class CompiledResidual:
                 # 4 kappa_l ^ q_u, split evenly between Q[:, u, l] and Q[:, l, u]
                 cross = (2.0 * KAPPA_TERM_SIGN * ext.wedge(ks, q_, 1, 1)).reshape(
                     len(geom.kernel), T, second)
-                Q[rs, :T, T:] = cross.transpose(2, 1, 0)
-                Q[rs, T:, :T] = cross.transpose(2, 0, 1)
+                l, u, row = np.nonzero(cross)
+                add(rs.start + row, u, T + l, cross[l, u, row])
+                add(rs.start + row, T + l, u, cross[l, u, row])
         else:
             M, Lam = geom.curv.M, geom.curv.Lam
             omega = ext.kahler()
@@ -238,17 +246,22 @@ class CompiledResidual:
                        + ext.wedge_matrix(Lam, q_, 2, 1) + ext.wedge_matrix(q_, Lam, 1, 2)
                        + 4.0 * ext.wedge(omega, q_, 2, 1))
                 A[rs, :T] = lin.reshape(T, -1).T
-        self.r0, self.A, self.Q = r0, A, Q
+        self.r0, self.A = r0, A
+        self.q_rows, self.q_cols, self.q_vals = (np.concatenate(a) for a in zip(*triplets))
 
-    def _Qx(self, x: np.ndarray) -> np.ndarray:
-        R, d, _ = self.Q.shape
-        return (self.Q.reshape(R * d, d) @ x).reshape(R, d)
+    def _A_plus_Qx(self, x: np.ndarray) -> np.ndarray:
+        # A is added into the bincount's own output: at n = 4 a second (R, d)
+        # temporary costs more than the bincount.
+        out = np.bincount(self.q_rows, weights=self.q_vals * x.take(self.q_cols),
+                          minlength=self.A.size).reshape(self.A.shape)
+        out += self.A
+        return out
 
     def __call__(self, x: np.ndarray) -> np.ndarray:
-        return self.r0 + (self.A + self._Qx(x)) @ x
+        return self.r0 + self._A_plus_Qx(x) @ x
 
     def jacobian(self, x: np.ndarray) -> np.ndarray:
-        return self.A + 2.0 * self._Qx(x)
+        return self._A_plus_Qx(2.0 * x)
 
 
 def compiled(geom: Geometry) -> CompiledResidual:

@@ -189,6 +189,14 @@ class TestCLI:
         assert lines[0].startswith("#")
         assert len(lines) == 4
 
+    def test_scan_unwritable_table_exits_2(self, tmp_path, capsys):
+        table = tmp_path / "missing" / "t.txt"
+        code = main(["scan", fixture("ch1_family.json"), "--values", "2",
+                     "--starts", "2", "--seed", "1", "--table", str(table)])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and str(table) in err
+
     def test_scan_malformed_range(self, capsys):
         assert main(["scan", fixture("ch1_family.json"), "--range", "3", "1"]) == 2
 
@@ -228,6 +236,12 @@ class TestCLI:
         code = main(["cmap", fixture("ch1_c2.json"), "-o", str(out_path)])
         report = json.loads(capsys.readouterr().out)
         assert code == 0 and report["results"]["dimension"] == 8
+
+    def test_cmap_unwritable_output_exits_2(self, tmp_path, capsys):
+        out_path = tmp_path / "missing" / "x.json"
+        assert main(["cmap", fixture("four_dim.json"), "-o", str(out_path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and str(out_path) in err
 
     def test_cmap_rejects_non_psk(self, capsys):
         assert main(["cmap", fixture("ch1_c1.json")]) == 4

@@ -39,13 +39,14 @@ def _rotated_ch1_squared():
 
 
 # Geometries the compiled residual is checked on: exact ones of every n up
-# to 4, a dense (rotated) frame, and the kappa-free stack.
+# to 5, a dense (rotated) frame, and the kappa-free stack.
 GEOMETRIES = {
     "four_dim": lambda: build_geometry(*four_dim_example()),
     "ch1_model": lambda: build_geometry(*complex_hyperbolic(1)),
     "ch2_model": lambda: build_geometry(*complex_hyperbolic(2)),
     "ch3_model": lambda: build_geometry(*complex_hyperbolic(3)),
     "ch4_model": lambda: build_geometry(*complex_hyperbolic(4)),
+    "ch5_model": lambda: build_geometry(*complex_hyperbolic(5)),
     "ch1_cubed": lambda: build_geometry(*ch1_cubed(2.0)),
     "rotated_ch1_squared": lambda: build_geometry(*_rotated_ch1_squared()),
     "flat_plus_ch1": lambda: build_geometry(*flat_plus_ch1(2.0), allow_nonexact=True),
@@ -91,8 +92,19 @@ class TestResidualVector:
 
     @pytest.mark.parametrize("name", GEOMETRIES)
     def test_quadratic_term_symmetric(self, name):
-        Q = compiled(GEOMETRIES[name]()).Q
-        assert np.array_equal(Q, Q.transpose(0, 2, 1))
+        # The triplet (r * d + i, j, v) stands for Q[r, i, j] = v; the set
+        # of triplets equals its own (i, j) transpose.
+        geom = GEOMETRIES[name]()
+        fun = compiled(geom)
+        row, i = np.divmod(fun.q_rows, geom.n_unknowns)
+        j = fun.q_cols
+
+        def ordered(first, second):
+            order = np.lexsort((second, first, row))
+            return row[order], first[order], second[order], fun.q_vals[order]
+
+        for a, b in zip(ordered(i, j), ordered(j, i)):
+            assert np.array_equal(a, b)
 
     @pytest.mark.parametrize("name", ["four_dim", "flat_plus_ch1"])
     def test_compile_never_evaluates_residual_vector(self, monkeypatch, name):
@@ -102,7 +114,13 @@ class TestResidualVector:
         geom = GEOMETRIES[name]()
         monkeypatch.setattr(solver, "residual_vector", refuse)
         fun = compiled(geom)
-        assert fun.Q.shape == (len(fun.r0), geom.n_unknowns, geom.n_unknowns)
+        R, d = len(fun.r0), geom.n_unknowns
+        assert fun.r0.shape == (R,) and fun.A.shape == (R, d)
+        nnz = len(fun.q_vals)
+        assert nnz > 0
+        assert fun.q_rows.shape == fun.q_cols.shape == fun.q_vals.shape == (nnz,)
+        assert 0 <= fun.q_rows.min() and fun.q_rows.max() < R * d
+        assert 0 <= fun.q_cols.min() and fun.q_cols.max() < d
 
     def test_not_exact_propagates(self):
         L, B = flat_plus_ch1(2.0)
@@ -110,6 +128,21 @@ class TestResidualVector:
             build_geometry(L, B)
         geom = build_geometry(L, B, allow_nonexact=True)
         assert not geom.exact
+
+
+def test_ch4_quadratic_term_is_held_sparse():
+    # The ndarray attributes of the CH(4) compile weigh under 2 MB (about
+    # 1.1 MB), where the dense (R, d, d) quadratic term alone took 24 MB; the
+    # triplets are exactly the non-zeros of that dense term, with no repeats.
+    geom = GEOMETRIES["ch4_model"]()
+    fun = compiled(geom)
+    arrays = [a for a in vars(fun).values() if isinstance(a, np.ndarray)]
+    assert sum(a.nbytes for a in arrays) < 2_000_000
+    R, d = fun.A.shape
+    dense = np.zeros((R * d, d))
+    np.add.at(dense, (fun.q_rows, fun.q_cols), fun.q_vals)
+    assert dense.nbytes > 24_000_000
+    assert np.count_nonzero(dense) == len(fun.q_vals)
 
 
 @pytest.mark.parametrize("name", ["four_dim", "flat_plus_ch1"])
@@ -223,6 +256,10 @@ class TestSolve:
         assert res.status == "Solved"
         assert res.best_residual < 1e-8
         assert certify_gauge_orbit(res.candidate, four_dim_candidate()) < 1e-7
+
+    def test_ch5_model_solves(self):
+        res = solve(build_geometry(*complex_hyperbolic(5)), SolveConfig(starts=8, seed=1))
+        assert res.status == "Solved"
 
     def test_determinism(self):
         L, B = ch1(1.9)
