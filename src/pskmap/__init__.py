@@ -8,6 +8,7 @@ from .lie import (
     AdaptedBasis,
     LieAlgebra,
     NotExactError,
+    PreconditionError,
     closed_one_forms,
     jacobi_residual,
     solve_primitive,

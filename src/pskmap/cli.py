@@ -1,9 +1,10 @@
 """Command line interface.
 
 Exit codes: 0 all checks pass, 1 residual failure, 2 parse/usage error,
-3 precondition failure (not Kahler / Kahler form not exact / bad kappa),
-4 candidate is not projective special Kahler (c-map refused), 5 internal
-error (any other exception, reported as one line on stderr).
+3 precondition failure (not Kahler / Kahler form not exact / bad kappa /
+lie.PreconditionError), 4 candidate is not projective special Kahler
+(c-map refused), 5 internal error (any other exception, a bare ValueError
+included, reported as one line on stderr).
 """
 
 from __future__ import annotations
@@ -31,7 +32,7 @@ from .io import (
     load_template_file,
     save_algebra_file,
 )
-from .lie import AdaptedBasis, NotExactError
+from .lie import AdaptedBasis, NotExactError, PreconditionError
 from .solver import SolveConfig, build_geometry, scan_curvature, solve
 
 EXIT_OK = 0
@@ -98,7 +99,7 @@ def cmd_check(args) -> int:
     try:
         af.candidate.validate(af.L)
         conn = levi_civita(af.L, af.B)
-    except (ValueError, NotKahlerError) as exc:
+    except (PreconditionError, NotKahlerError) as exc:
         _emit(Report("check", "Precondition", {"error": str(exc)}))
         return EXIT_PRECONDITION
     res = all_residuals(af.L, af.B, af.candidate, conn, curvature(conn, af.L))
@@ -308,7 +309,7 @@ def main(argv=None) -> int:
     except ParseError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARSE
-    except (NotExactError, NotKahlerError, DSquaredError, ValueError) as exc:
+    except (NotExactError, NotKahlerError, DSquaredError, PreconditionError) as exc:
         print(f"precondition: {exc}", file=sys.stderr)
         return EXIT_PRECONDITION
     except Exception as exc:

@@ -19,27 +19,33 @@ posteriori.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from .cone import (
     CForm,
+    CFormMatrix,
     ConeAlgebra,
+    KeyTables,
     TrigLaurent,
+    _canonical,
+    _concat,
+    _diagonal,
     _i_matrix,
     cone_coframe,
+    mono_code,
     special_cone,
+    wedge_sum,
 )
 from .connection import ConnectionData, levi_civita
-from .forms import all_keys, max_abs, sort_with_sign
+from .forms import max_abs
 from .intrinsic import PSKCandidate, all_residuals, pq_from_tensors
 from .lie import (
     AdaptedBasis,
     LieAlgebra,
-    d_matrix,
+    COMPLETELY_SOLVABLE_TOL,
     derived_series_dims,
-    is_completely_solvable,
     jacobi_residual,
     killing_spectrum,
     max_adjoint_imag,
@@ -76,28 +82,35 @@ class TwistFrame(ConeAlgebra):
 
     def curvature_correction(self) -> CForm:
         """F = -a^T^b + phi^psi - A^T^B + Phi^Psi in the hatted coframe."""
-        n, m = self.n, self.m
-        t2 = TrigLaurent.t_power(2)
-        out = CForm.zero(m, 2)
-        for i in range(1, n + 1):
-            out = out - CForm.basis(m, i, n + i).scale(t2)
-            out = out - CForm.basis(m, self.delta_index(i), self.delta_index(n + i))
-        out = out + CForm.basis(m, self.idx_phi, self.idx_psi).scale(TrigLaurent.t_power(1))
-        out = out + CForm.basis(m, self.delta_index(2 * n + 1), self.delta_index(2 * n + 2))
-        return out
+        n, di = self.n, self.delta_index
+        base = range(1, n + 1)
+        return _planes(self, [(i, n + i, -1.0, 2) for i in base]
+                       + [(di(i), di(n + i), -1.0, 0) for i in base]
+                       + [(self.idx_phi, self.idx_psi, 1.0, 1),
+                          (di(2 * n + 1), di(2 * n + 2), 1.0, 0)])
 
 
-def twist_differential(TF: TwistFrame, beta: CForm, tol: float = 1e-9) -> CForm:
-    """d_Q(beta) = d(beta) + (2/t^2) F ^ (X . beta) for X-invariant beta."""
+def _planes(TF: TwistFrame, planes) -> CForm:
+    """The two-form sum of c t^k e^r ^ e^s over planes (r, s, c, k)."""
+    r, s, c, k = (np.array(x) for x in zip(*planes))
+    zeros = np.zeros(len(r), dtype=np.int64)
+    keys = TF.tables.rank(np.sort(np.stack([r, s], axis=1), axis=1))
+    monos = np.array([mono_code(int(x), 0, 0) for x in k], dtype=np.int64)
+    return _canonical((1, 1), TF.m, 2, TF.tables, zeros, zeros, keys, monos,
+                      np.where(r < s, c, -c).astype(float))
+
+
+def twist_differential(TF: TwistFrame, beta: CFormMatrix, tol: float = 1e-9) -> CFormMatrix:
+    """d_Q(beta) = d(beta) + (2/t^2) F ^ (X . beta) for X-invariant beta,
+    entrywise over a matrix of forms."""
     d_beta = TF.d(beta)
     x_beta = TF.interior_x(beta)
-    res = (TF.interior_x(d_beta) + TF.d(x_beta)).norm_inf()   # L_X beta
-    if res > tol * (1.0 + beta.norm_inf()):
-        raise NotInvariantError(f"Lie derivative along X has norm {res:.3e}")
-    correction = TF.curvature_correction().scale(
-        TrigLaurent.t_power(-2, 2.0)
-    ).wedge(x_beta)
-    return d_beta + correction
+    drift = wedge_sum(TF.interior_x(d_beta), TF.d(x_beta)).entry_norms()   # L_X beta
+    bad = drift > tol * (1.0 + beta.entry_norms())
+    if bad.any():
+        raise NotInvariantError(f"Lie derivative along X has norm {drift[bad][0]:.3e}")
+    F = TF.curvature_correction().scale(TrigLaurent.t_power(-2, 2.0))
+    return wedge_sum(d_beta, (_diagonal(F, beta.shape[0]), x_beta))
 
 
 def build_twist_frame(L: LieAlgebra, B: AdaptedBasis, cand: PSKCandidate,
@@ -106,24 +119,17 @@ def build_twist_frame(L: LieAlgebra, B: AdaptedBasis, cand: PSKCandidate,
     d*d = 0 on the cotangent coframe (flatness of the special connection).
 
     conn is the Levi-Civita connection of (L, B), which the caller has
-    already built to check the candidate."""
+    already built to check the candidate.  The rule of Delta_k is
+    -sum_j Delta_j ^ omega_nabla[j, k]: one row-by-matrix wedge."""
     n = B.n
     CA = cone_coframe(L, B, cand.kappa)
     sc = special_cone(CA, conn, *pq_from_tensors(cand.Sa, cand.Sb))
-
     m_small, m_big = 2 * n + 2, 4 * n + 4
-
-    def enlarge(f: CForm) -> CForm:
-        return CForm(m_big, f.degree, dict(f.coeffs))
-
-    rules = [enlarge(r) for r in CA.d_rules]
-    for k in range(1, m_small + 1):
-        acc = CForm.zero(m_big, 2)
-        for j in range(1, m_small + 1):
-            entry = sc.omega_nabla[j - 1, k - 1]
-            if entry.coeffs:
-                acc = acc - CForm.basis(m_big, 2 * n + 2 + j).wedge(enlarge(entry))
-        rules.append(acc)
+    big = KeyTables(m_big)
+    deltas = CFormMatrix.one_forms((1, m_small), m_big, big, np.zeros(m_small, dtype=np.int64),
+                                   np.arange(m_small), np.arange(m_small) + m_small + 1, -1.0)
+    fiber = deltas.wedge(sc.omega_nabla.embed(big))
+    rules = [r.embed(big) for r in CA.d_rules] + [fiber[0, k] for k in range(m_small)]
     TF = TwistFrame(L=L, B=B, kappa=cand.kappa, d_rules=tuple(rules), exact=True)
     scale = 1.0 + L.max_constant() ** 2 + max_abs(sc.p) ** 2
     res = TF.d_squared_residual()
@@ -134,45 +140,37 @@ def build_twist_frame(L: LieAlgebra, B: AdaptedBasis, cand: PSKCandidate,
     return TF
 
 
-def _exp_entries(n: int, sign: float):
-    """Matrix exponential exp(sign * i * tau) as TrigLaurent entries."""
-    m = 2 * n + 2
-    i_mat = _i_matrix(n)
-    cos, sin = TrigLaurent.cos_tau(), TrigLaurent.sin_tau()
-    E = [[cos if r == c else TrigLaurent() for c in range(m)] for r in range(m)]
-    for r, c in zip(*np.nonzero(i_mat)):            # off the diagonal
-        E[r][c] = sin * (sign * i_mat[r, c])
-    return E
-
-
-def _rotated_fiber(TF: TwistFrame, sign: float, scale: TrigLaurent) -> list:
-    """The one-forms scale * sum_k Delta_k E^k_j, j = 1..2n+2, with
-    E = exp(sign * i * tau)."""
+def _rotated_fiber(TF: TwistFrame, sign: float, k: int) -> CFormMatrix:
+    """The column of one-forms t^k * sum_l Delta_l E^l_j, j = 1..2n+2, with
+    E = exp(sign * i * tau): cos(tau) on the diagonal and sign * sin(tau) * i
+    off it."""
     m_fiber = 2 * TF.n + 2
-    E = _exp_entries(TF.n, sign)
-    out = []
-    for j in range(m_fiber):
-        coeffs = {}
-        for k in range(m_fiber):
-            if E[k][j].terms:
-                coeffs[(TF.delta_index(k + 1),)] = scale * E[k][j]
-        out.append(CForm(TF.m, 1, coeffs))
-    return out
+    diag = np.arange(m_fiber)
+    l, j = np.nonzero(_i_matrix(TF.n))
+    return CFormMatrix.one_forms(
+        (m_fiber, 1), TF.m, TF.tables, np.concatenate([diag, j]),
+        np.zeros(m_fiber + len(j), dtype=np.int64),
+        np.concatenate([diag, l]) + TF.delta_index(1),
+        np.concatenate([np.ones(m_fiber), sign * _i_matrix(TF.n)[l, j]]),
+        np.concatenate([np.full(m_fiber, mono_code(k, 1, 0)),
+                        np.full(len(j), mono_code(k, 0, 1))]))
 
 
-def _invariant_fiber_coframe(TF: TwistFrame):
+def _invariant_fiber_coframe(TF: TwistFrame) -> CFormMatrix:
     """delta_j = (1/t) sum_k Delta_k E^k_j with E = exp(EXP_SIGN i tau)."""
-    return _rotated_fiber(TF, EXP_SIGN, TrigLaurent.t_power(-1))
+    return _rotated_fiber(TF, EXP_SIGN, -1)
 
 
-def _output_substitution(TF: TwistFrame) -> dict:
-    """Rewrite map into the invariant output frame:
-    psi -> t * psi-tilde (same slot), Delta_k -> t * sum_m delta_m Einv^m_k."""
-    t = TrigLaurent.t_power(1)
-    sub = {TF.idx_psi: CForm(TF.m, 1, {(TF.idx_psi,): t})}
-    for k, image in enumerate(_rotated_fiber(TF, -EXP_SIGN, t), start=1):
-        sub[TF.delta_index(k)] = image
-    return sub
+def _output_substitution(TF: TwistFrame) -> CFormMatrix:
+    """Images of the generators in the invariant output frame, as a column:
+    the base generators and phi stay, psi -> t * psi-tilde (same slot),
+    Delta_k -> t * sum_m delta_m Einv^m_k."""
+    m_base = 2 * TF.n + 1
+    keep = TF.generators(range(1, m_base + 1))
+    psi = TF.generators([TF.idx_psi], mono=mono_code(1, 0, 0))
+    fiber = _rotated_fiber(TF, -EXP_SIGN, 1)
+    return _concat((TF.m, 1), TF.m, 1, TF.tables, [keep, psi, fiber],
+                   [(0, 0), (m_base, 0), (m_base + 1, 0)])
 
 
 def output_labels(n: int) -> list:
@@ -185,7 +183,9 @@ def output_labels(n: int) -> list:
 
 @dataclass(frozen=True)
 class QKStructure:
-    """c-map image: the output Lie algebra with its quaternionic data at t=1."""
+    """c-map image: the output Lie algebra with its quaternionic data at t=1.
+    tables are the twist frame's key tables, whose generators are the output
+    algebra's basis; the report reuses them."""
 
     algebra: LieAlgebra
     n_base: int
@@ -193,6 +193,7 @@ class QKStructure:
     gram: np.ndarray
     omega_triple: tuple
     jacobi: float
+    tables: KeyTables | None = field(default=None, compare=False, repr=False)
 
     @property
     def dim(self) -> int:
@@ -211,20 +212,24 @@ class HKForms:
     F: CForm
 
 
-def _frame_two_forms(TF: TwistFrame) -> tuple:
-    """The six mixed frame two-forms sum_i x_i ^ y_i, i = 1..n:
-    aTb, ATB, ATa, BTb, ATb, BTa (a, b base; A, B fiber Delta_i, Delta_{n+i})."""
-    n, m, di = TF.n, TF.m, TF.delta_index
-    frame = [(i, n + i, di(i), di(n + i)) for i in range(1, n + 1)]   # a, b, A, B
-    pairs = ((0, 1), (2, 3), (2, 0), (3, 1), (2, 1), (3, 0))
-    return tuple(sum((CForm.basis(m, row[x], row[y]) for row in frame), CForm.zero(m, 2))
-                 for x, y in pairs)
+def _frame_planes(TF: TwistFrame, x: int, y: int, c: float, k: int) -> list:
+    """The planes of the mixed frame two-form c t^k sum_i x_i ^ y_i, i = 1..n,
+    with x, y in 0..3 for a, b (base) and A, B (fiber Delta_i, Delta_{n+i})."""
+    n, di = TF.n, TF.delta_index
+    frame = [(i, n + i, di(i), di(n + i)) for i in range(1, n + 1)]
+    return [(row[x], row[y], c, k) for row in frame]
 
 
 def hk_forms(TF: TwistFrame) -> HKForms:
     """Transcription of the hyperKahler metric, its Kahler triple, the
-    deformed metric g_N and the twist curvature F over the extended frame."""
-    n, m = TF.n, TF.m
+    deformed metric g_N and the twist curvature F over the extended frame.
+
+    Each two-form is a list of planes c t^k e^r ^ e^s; with a, b, A, B the
+    frame of _frame_planes:
+    omega_I = t^2 a^T^b - t phi^psi + A^T^B - Phi^Psi,
+    omega_J = t (A^T^a + B^T^b) + t Phi^phi + Psi^psi,
+    omega_K = t (A^T^b - B^T^a) + Phi^psi - t Psi^phi."""
+    n = TF.n
     t2 = TrigLaurent.t_power(2)
     two = TrigLaurent.const(2.0)
     two_over_t2 = TrigLaurent.t_power(-2, 2.0)
@@ -242,18 +247,14 @@ def hk_forms(TF: TwistFrame) -> HKForms:
         g_H[di(k)] = TrigLaurent.const(sign)
         g_N[di(k)] = two_over_t2
 
-    aTb, ATB, ATa, BTb, ATb, BTa = _frame_two_forms(TF)
-    t = TrigLaurent.t_power(1)
-    phi_psi = CForm.basis(m, TF.idx_phi, TF.idx_psi).scale(t)
-    Phi_Psi = CForm.basis(m, di(2 * n + 1), di(2 * n + 2))
-    Phi_phi = CForm.basis(m, di(2 * n + 1), TF.idx_phi).scale(t)
-    Psi_psi = CForm.basis(m, di(2 * n + 2), TF.idx_psi)
-    Phi_psi = CForm.basis(m, di(2 * n + 1), TF.idx_psi)
-    Psi_phi = CForm.basis(m, di(2 * n + 2), TF.idx_phi).scale(t)
-
-    omega_I = aTb.scale(t2) - phi_psi + ATB - Phi_Psi
-    omega_J = (ATa + BTb).scale(t) + Phi_phi + Psi_psi
-    omega_K = (ATb - BTa).scale(t) + Phi_psi - Psi_phi
+    a, b, A, B = 0, 1, 2, 3
+    phi, psi, Phi, Psi = TF.idx_phi, TF.idx_psi, di(2 * n + 1), di(2 * n + 2)
+    omega_I = _planes(TF, _frame_planes(TF, a, b, 1.0, 2) + _frame_planes(TF, A, B, 1.0, 0)
+                      + [(phi, psi, -1.0, 1), (Phi, Psi, -1.0, 0)])
+    omega_J = _planes(TF, _frame_planes(TF, A, a, 1.0, 1) + _frame_planes(TF, B, b, 1.0, 1)
+                      + [(Phi, phi, 1.0, 1), (Psi, psi, 1.0, 0)])
+    omega_K = _planes(TF, _frame_planes(TF, A, b, 1.0, 1) + _frame_planes(TF, B, a, -1.0, 1)
+                      + [(Phi, psi, 1.0, 0), (Psi, phi, -1.0, 1)])
     return HKForms(g_H=g_H, omega_I=omega_I, omega_J=omega_J, omega_K=omega_K,
                    g_N=g_N, F=TF.curvature_correction())
 
@@ -268,9 +269,8 @@ def _hk_triple(TF: TwistFrame, hk: HKForms) -> tuple:
     is not even skew-adjoint).
     """
     n, di = TF.n, TF.delta_index
-    ATB = _frame_two_forms(TF)[1]
-    Phi_Psi = CForm.basis(TF.m, di(2 * n + 1), di(2 * n + 2))
-    return hk.omega_I - (ATB - Phi_Psi).scale(2.0), hk.omega_J, hk.omega_K
+    fiber = _planes(TF, _frame_planes(TF, 2, 3, 2.0, 0) + [(di(2 * n + 1), di(2 * n + 2), -2.0, 0)])
+    return hk.omega_I - fiber, hk.omega_J, hk.omega_K
 
 
 def verify_hyperkahler_frame(TF: TwistFrame) -> dict:
@@ -282,38 +282,42 @@ def verify_hyperkahler_frame(TF: TwistFrame) -> dict:
     """
     m = TF.m
     hk = hk_forms(TF)
-    omega_i, omega_j, omega_k = _hk_triple(TF, hk)
+    triple = CFormMatrix.stack(_hk_triple(TF, hk))
     gram = np.array([hk.g_H[r].eval(1.0, 0.0) for r in range(1, m + 1)])
+    r, s = TF.tables.keys(2).T - 1
 
-    def endomorphism(f: CForm) -> np.ndarray:
+    def endomorphism(v: np.ndarray) -> np.ndarray:
         E = np.zeros((m, m))
-        for (r, s), v in zip(all_keys(m, 2), f.eval_at(1.0, 0.0)):
-            E[s - 1, r - 1] = v / gram[s - 1]
-            E[r - 1, s - 1] = -v / gram[r - 1]
+        E[s, r] = v / gram[s]
+        E[r, s] = -v / gram[r]
         return E
 
-    I_m, J_m, K_m = map(endomorphism, (omega_i, omega_j, omega_k))
+    I_m, J_m, K_m = map(endomorphism, triple.eval_at(1.0, 0.0)[:, 0])
     eye = np.eye(m)
-    lj = TF.lie_x(omega_j)
+    lj = TF.lie_x(triple[1])
+    omega_k = triple[2]
     return {
-        "closed": max(TF.d(omega_i).norm_inf(), TF.d(omega_j).norm_inf(),
-                      TF.d(omega_k).norm_inf()),
+        "closed": TF.d(triple).norm_inf(),
         "squares": max(np.abs(I_m @ I_m + eye).max(), np.abs(J_m @ J_m + eye).max(),
                        np.abs(K_m @ K_m + eye).max()),
         "ij_minus_k": float(np.abs(I_m @ J_m - K_m).max()),
         "rotation": min((lj - omega_k).norm_inf(), (lj + omega_k).norm_inf()),
-        "invariance_i": TF.lie_x(omega_i).norm_inf(),
+        "invariance_i": TF.lie_x(triple[0]).norm_inf(),
     }
 
 
-def _constant_or_raise(name: str, f: CForm, tol: float, scale: float) -> np.ndarray:
-    bad = f.nonconstant_norm()
-    if bad > tol * scale:
+def _constant_or_raise(names: list, forms: CFormMatrix, tol: float, scale: float) -> np.ndarray:
+    """The constant forms of a column, (rows, keys); raises on the first row
+    that keeps a t or tau dependence above tol * scale."""
+    bad = forms.entry_norms(nonconstant=True)[:, 0]
+    over = np.flatnonzero(bad > tol * scale)
+    if len(over):
+        i = over[0]
         raise NonConstantError(
-            f"{name} keeps t/tau dependence of size {bad:.3e}; "
+            f"{names[i]} keeps t/tau dependence of size {bad[i]:.3e}; "
             "input data is not left-invariant"
         )
-    return f.constant_form()
+    return forms.constant_form()[:, 0]
 
 
 def qk_algebra(L: LieAlgebra, B: AdaptedBasis, cand: PSKCandidate,
@@ -322,7 +326,8 @@ def qk_algebra(L: LieAlgebra, B: AdaptedBasis, cand: PSKCandidate,
 
     All differentials are computed mechanically in the graded algebra and
     evaluated in the invariant frame (a~, b~, phi, dt/t, delta); the
-    output basis is its dual at t = 1, tau = 0.
+    output basis is its dual at t = 1, tau = 0.  The frame is one column,
+    so each step is one operation over all generators.
     """
     conn = levi_civita(L, B)
     res = all_residuals(L, B, cand, conn)
@@ -337,26 +342,24 @@ def qk_algebra(L: LieAlgebra, B: AdaptedBasis, cand: PSKCandidate,
     scale = 1.0 + L.max_constant() ** 2
 
     # invariance of the fiber coframe fixes the exponential convention
-    for j, dl in enumerate(deltas):
-        drift = TF.lie_x(dl).norm_inf()
-        if drift > 1e-9 * scale:
-            raise NonConstantError(
-                f"delta_{j + 1} is not X-invariant (drift {drift:.3e}); "
-                "exponential convention violated"
-            )
+    drift = TF.lie_x(deltas).entry_norms()[:, 0]
+    over = np.flatnonzero(drift > 1e-9 * scale)
+    if len(over):
+        j = over[0]
+        raise NonConstantError(
+            f"delta_{j + 1} is not X-invariant (drift {drift[j]:.3e}); "
+            "exponential convention violated"
+        )
 
-    generators = [CForm.basis(m, i) for i in range(1, 2 * n + 2)]   # a, b, phi
-    psit = CForm.basis(m, TF.idx_psi).scale(TrigLaurent.t_power(-1))
-    frame = generators + [psit] + deltas
+    m_base = 2 * n + 1                                              # a, b, phi
+    frame = _concat((m, 1), m, 1, TF.tables,
+                    [TF.generators(range(1, m_base + 1)),
+                     TF.generators([TF.idx_psi], mono=mono_code(-1, 0, 0)), deltas],
+                    [(0, 0), (m_base, 0), (m_base + 1, 0)])
+    d_out = _constant_or_raise([f"d_Q of generator {g}" for g in range(1, m + 1)],
+                               twist_differential(TF, frame).substitute(sub), 1e-9, scale)
 
-    d_out = []
-    for idx, gen in enumerate(frame):
-        dq = twist_differential(TF, gen)
-        rewritten = dq.substitute(sub)
-        d_out.append(_constant_or_raise(f"d_Q of generator {idx + 1}", rewritten,
-                                        1e-9, scale))
-
-    keys = all_keys(m, 2)
+    keys = TF.tables.keys(2).tolist()
     entries = [(*keys[r], g, -f[r]) for g, f in enumerate(d_out, start=1)
                for r in np.flatnonzero(f)]
     out = LieAlgebra.from_brackets(m, entries)
@@ -372,10 +375,11 @@ def qk_algebra(L: LieAlgebra, B: AdaptedBasis, cand: PSKCandidate,
         gram=2.0 * np.eye(m),
         omega_triple=omega_triple,
         jacobi=jac,
+        tables=TF.tables,
     )
 
 
-def _output_triple(TF: TwistFrame, sub: dict, scale: float):
+def _output_triple(TF: TwistFrame, sub: CFormMatrix, scale: float):
     """The three quaternionic two-forms of g_N, transferred to the output frame.
 
     The g_N triple is the hatted one (_hk_triple) with each plane e^r ^ e^s
@@ -385,29 +389,42 @@ def _output_triple(TF: TwistFrame, sub: dict, scale: float):
     substitution is asserted, not assumed.
     """
     hk = hk_forms(TF)
-    ratio = {}
-    for r, g in hk.g_H.items():
-        ((k, _, _), c), = g.terms.items()       # g_H[r] is one monomial c t^k
-        ratio[r] = hk.g_N[r] * TrigLaurent.t_power(-k, 1.0 / c)
-
-    def to_g_N(f: CForm) -> CForm:
-        out = {}
-        for (r, s), c in f.coeffs.items():
-            if (ratio[r] - ratio[s]).terms:
-                raise AssertionError(f"g_N/g_H differs between generators {r} and {s}")
-            out[(r, s)] = c * ratio[r]
-        return CForm(f.m, 2, out)
-
-    omega_i_n, omega_j_n, omega_k_n = map(to_g_N, _hk_triple(TF, hk))
+    ratio = []
+    for r in range(1, TF.m + 1):
+        ((k, _, _), c), = hk.g_H[r].terms.items()       # g_H[r] is one monomial c t^k
+        ratio.append(hk.g_N[r] * TrigLaurent.t_power(-k, 1.0 / c))
+    triple = _rescale_planes(CFormMatrix.stack(_hk_triple(TF, hk)),
+                             CFormMatrix.stack(ratio, TF.m, TF.tables))
     cos, sin = TrigLaurent.cos_tau(), TrigLaurent.sin_tau()
-    omega_j_inv = omega_j_n.scale(cos) - omega_k_n.scale(sin)
-    omega_k_inv = omega_j_n.scale(sin) + omega_k_n.scale(cos)
-
-    out = []
-    for name, f in (("omega_I", omega_i_n), ("omega_J", omega_j_inv),
-                    ("omega_K", omega_k_inv)):
-        out.append(_constant_or_raise(name, f.substitute(sub), 1e-9, scale))
+    omega_i_n, omega_j_n, omega_k_n = triple[0], triple[1], triple[2]
+    invariant = CFormMatrix.stack([
+        omega_i_n,
+        omega_j_n.scale(cos) - omega_k_n.scale(sin),
+        omega_j_n.scale(sin) + omega_k_n.scale(cos),
+    ])
+    out = _constant_or_raise(["omega_I", "omega_J", "omega_K"], invariant.substitute(sub),
+                             1e-9, scale)
     return tuple(out)
+
+
+def _rescale_planes(forms: CFormMatrix, ratio: CFormMatrix) -> CFormMatrix:
+    """Each plane e^r ^ e^s of the two-forms in forms times ratio[r - 1],
+    which must equal ratio[s - 1] (ratio is a column of ring elements).
+
+    The ratios of the planes present are read off by selection matrices:
+    row u of first ^ ratio is the ratio of the first generator of plane u."""
+    t, m = forms.tables, forms.m
+    present = np.unique(forms.key)
+    planes = t.keys(2)[present]
+    select = [CFormMatrix.constant(np.eye(m)[planes[:, i] - 1], m, t) for i in (0, 1)]
+    first = select[0].wedge(ratio)
+    differ = wedge_sum((select[1], -ratio), first)
+    if len(differ):
+        r, s = planes[differ.row[0]]
+        raise AssertionError(f"g_N/g_H differs between generators {r} and {s}")
+    op = CFormMatrix._of((1, len(present)), m, 2, t, np.zeros_like(first.row), first.row,
+                         present[first.row], first.mono, first.val)
+    return forms.apply(op, np.searchsorted(present, forms.key))
 
 
 @dataclass(frozen=True)
@@ -422,38 +439,46 @@ class QKReport:
     killing_eigs: tuple
 
 
+def _d_two_forms(L: LieAlgebra, forms, tables: KeyTables) -> np.ndarray:
+    """d of dense two-forms of L (rows of forms, over tables.keys(2)), as
+    three-forms: d(e^K) = sum_g d(e^g) ^ (e_g . e^K), with
+    d(e^g) = -sum c^g_ij e^i ^ e^j read off the brackets."""
+    m, n2 = L.dim, tables.count(2)
+    rules = np.zeros((m, n2))
+    if L.brackets:
+        i, j, g, c = (np.array(x) for x in zip(*L.brackets))
+        rules[g - 1, tables.rank(np.stack([i, j], axis=1))] = -c
+    contract = tables.contraction_table(2)
+    K, g = np.nonzero(contract)
+    sign = np.sign(contract[K, g])
+    code = tables.wedge_table(2, 1).reshape(n2, m)[:, np.abs(contract[K, g]) - 1].T
+    hit = code != 0
+    target = np.abs(code[hit]) - 1
+    return np.stack([np.bincount(target, weights=((w[K] * sign)[:, None] * rules[g]
+                                                  * np.sign(code))[hit],
+                                 minlength=tables.count(3)) for w in forms])
+
+
 def sp1_fit_residual(Q: QKStructure) -> float:
     """Least-squares fit of connection one-forms alpha_I, alpha_J, alpha_K to
     d(omega_i) = sum_{jk} eps_ijk alpha_j ^ omega_k in the output algebra.
 
-    The e^g ^ omega_k columns are built from omega_k's non-zero keys, so no
-    dense (1, 2) sign table of the 4n+4 generators is materialised."""
-    L = Q.algebra
-    m = L.dim
+    The e^g ^ omega_k columns come from omega_k's non-zero keys and the signed
+    (1, 2) key table, so no dense (1, 2) sign table of the 4n+4 generators is
+    materialised."""
+    m = Q.algebra.dim
     omegas = Q.omega_triple
-    D2 = d_matrix(L, 2)
-    keys2 = all_keys(m, 2)
-    keys3 = all_keys(m, 3)
-    key_index = {k: r for r, k in enumerate(keys3)}
-    rows = 3 * len(keys3)
-    cols = 3 * m
-    A = np.zeros((rows, cols))
-    b = np.concatenate([D2 @ w for w in omegas])
-    eps = {(0, 1, 2): 1.0, (1, 2, 0): 1.0, (2, 0, 1): 1.0,
-           (0, 2, 1): -1.0, (2, 1, 0): -1.0, (1, 0, 2): -1.0}
-    for i in range(3):
-        base = i * len(keys3)
-        for j in range(3):
-            for k in range(3):
-                sign = eps.get((i, j, k))
-                if not sign:
-                    continue
-                for r in np.flatnonzero(omegas[k]):
-                    val = omegas[k][r]
-                    for gen in range(1, m + 1):
-                        s, key = sort_with_sign((gen,) + keys2[r])
-                        if s:
-                            A[base + key_index[key], j * m + gen - 1] += sign * s * val
+    tables = Q.tables if Q.tables is not None and Q.tables.m == m else KeyTables(m)
+    n3 = tables.count(3)
+    table = tables.wedge_table(1, 2).reshape(m, -1)
+    A = np.zeros((3 * n3, 3 * m))
+    b = _d_two_forms(Q.algebra, omegas, tables).ravel()
+    for i, j, k, sign in ((0, 1, 2, 1.0), (1, 2, 0, 1.0), (2, 0, 1, 1.0),
+                          (0, 2, 1, -1.0), (2, 1, 0, -1.0), (1, 0, 2, -1.0)):
+        r = np.flatnonzero(omegas[k])
+        gen, rr = np.nonzero(table[:, r])
+        code = table[gen, r[rr]]
+        A[i * n3 + np.abs(code) - 1, j * m + gen] += sign * np.sign(code) * omegas[k][r[rr]]
     sol, *_ = np.linalg.lstsq(A, b, rcond=None)
     return float(np.abs(A @ sol - b).max())
 
@@ -462,15 +487,19 @@ def qk_verify(Q: QKStructure) -> QKReport:
     """Necessary-condition report for the output quaternionic structure.
 
     In real dimension 8 (n = 1) the sp(1) fit is necessary but not
-    sufficient; no sufficiency is claimed there.
+    sufficient; no sufficiency is claimed there.  Each diagnostic is
+    computed once; complete solvability is read off the derived series and
+    the adjoint spectra (see lie.COMPLETELY_SOLVABLE_TOL).
     """
+    derived = derived_series_dims(Q.algebra)
+    imag = max_adjoint_imag(Q.algebra)
     return QKReport(
         dim=Q.dim,
         jacobi_residual=Q.jacobi,
         gram_min_eig=float(np.linalg.eigvalsh(Q.gram).min()),
         sp1_residual=sp1_fit_residual(Q),
-        completely_solvable=is_completely_solvable(Q.algebra),
-        derived_series=derived_series_dims(Q.algebra),
-        adjoint_imag_max=max_adjoint_imag(Q.algebra),
+        completely_solvable=derived[-1] == 0 and imag < COMPLETELY_SOLVABLE_TOL,
+        derived_series=derived,
+        adjoint_imag_max=imag,
         killing_eigs=tuple(np.round(killing_spectrum(Q.algebra), 10)),
     )

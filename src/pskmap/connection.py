@@ -18,7 +18,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from .forms import DEFAULT_TOL, DenseExterior, ZeroTolerance, max_abs
-from .lie import AdaptedBasis, LieAlgebra, check_adapted, d_matrix, validate_lie_algebra
+from .lie import (
+    AdaptedBasis,
+    LieAlgebra,
+    PreconditionError,
+    check_adapted,
+    d_matrix,
+    validate_lie_algebra,
+)
 
 
 class NotKahlerError(Exception):
@@ -141,7 +148,7 @@ def ch_model(n: int) -> CurvatureData:
     sectional curvature -1: M = -a^a^T - b^b^T,
     Lam = -a^b^T + b^a^T - 2 omega_S id."""
     if n < 1:
-        raise ValueError("n must be >= 1")
+        raise PreconditionError("n must be >= 1")
     ext = DenseExterior(2 * n)
     coframe = np.eye(2 * n)
     a, b = coframe[:n], coframe[n:]

@@ -28,7 +28,7 @@ import numpy as np
 
 from .connection import ConnectionData, CurvatureData, ch_model
 from .forms import DEFAULT_TOL, DenseExterior, ZeroTolerance, max_abs
-from .lie import AdaptedBasis, LieAlgebra, d_matrix
+from .lie import AdaptedBasis, LieAlgebra, PreconditionError, d_matrix
 
 # +1 selects "+4 kappa^q" in the p-equation and "-4 kappa^p" in the
 # q-equation; the opposite sign regime is not supported.
@@ -93,7 +93,7 @@ class PSKCandidate:
     def __post_init__(self):
         kappa = np.array(self.kappa, dtype=float)
         if kappa.shape != (2 * self.n,):
-            raise ValueError(f"kappa must have shape ({2 * self.n},), got {kappa.shape}")
+            raise PreconditionError(f"kappa must have shape ({2 * self.n},), got {kappa.shape}")
         kappa.flags.writeable = False
         object.__setattr__(self, "kappa", kappa)
 
@@ -105,7 +105,7 @@ class PSKCandidate:
         """Check d(kappa) = omega_S against the supplied algebra."""
         res = max_abs(d_matrix(L, 1) @ self.kappa - DenseExterior(2 * self.n).kahler())
         if res > tol.bound(1.0):
-            raise ValueError(f"kappa is not a primitive of omega_S (residual {res:.3e})")
+            raise PreconditionError(f"kappa is not a primitive of omega_S (residual {res:.3e})")
 
 
 def make_candidate(L: LieAlgebra, B: AdaptedBasis, Sa: SymTensor3, Sb: SymTensor3,

@@ -22,6 +22,12 @@ class NotExactError(Exception):
     """A closed two-form has no invariant primitive within tolerance."""
 
 
+class PreconditionError(ValueError):
+    """An input violates a precondition of the computation (a dimension,
+    the Jacobi identity, a primitive, a configuration); the CLI reports it
+    with exit code 3."""
+
+
 @dataclass(frozen=True)
 class LieAlgebra:
     dim: int
@@ -86,7 +92,7 @@ class AdaptedBasis:
 
 def check_adapted(L: LieAlgebra, B: AdaptedBasis) -> None:
     if L.dim != B.dim:
-        raise ValueError(f"algebra dimension {L.dim} != adapted dimension {B.dim}")
+        raise PreconditionError(f"algebra dimension {L.dim} != adapted dimension {B.dim}")
 
 
 def jacobi_residual(L: LieAlgebra) -> float:
@@ -102,7 +108,7 @@ def validate_lie_algebra(L: LieAlgebra) -> None:
     bound = 1e-10 * (1.0 + L.max_constant()) ** 2
     res = jacobi_residual(L)
     if res > bound:
-        raise ValueError(f"Jacobi residual {res:.3e} exceeds bound {bound:.3e}")
+        raise PreconditionError(f"Jacobi residual {res:.3e} exceeds bound {bound:.3e}")
 
 
 def _d_rules(L: LieAlgebra) -> list:
@@ -163,10 +169,10 @@ def solve_primitive(L: LieAlgebra, omega: np.ndarray, tol: ZeroTolerance = DEFAU
     """
     omega = np.asarray(omega, dtype=float)
     if omega.shape != (len(all_keys(L.dim, 2)),):
-        raise ValueError("expected a two-form over the algebra")
+        raise PreconditionError("expected a two-form over the algebra")
     scale = 1.0 + max_abs(omega)
     if max_abs(d_matrix(L, 2) @ omega) > tol.bound(scale):
-        raise ValueError("omega is not closed")
+        raise PreconditionError("omega is not closed")
     D = d_matrix(L, 1)
     x, *_ = np.linalg.lstsq(D, omega, rcond=None)
     residual = max_abs(D @ x - omega)
@@ -180,81 +186,62 @@ def solve_primitive(L: LieAlgebra, omega: np.ndarray, tol: ZeroTolerance = DEFAU
 # -- solvability helpers (used on c-map outputs) ----------------------
 
 
-def _span_dim(vectors: np.ndarray, tol: float = 1e-9) -> int:
-    if vectors.size == 0:
-        return 0
-    s = np.linalg.svd(vectors, compute_uv=False)
-    if s.size == 0:
-        return 0
-    return int((s > tol * max(1.0, s[0])).sum())
-
-
 def derived_series_dims(L: LieAlgebra, tol: float = 1e-9) -> tuple:
-    """Dimensions of the derived series g, [g,g], [[g,g],[g,g]], ... until stable."""
+    """Dimensions of the derived series g, [g,g], [[g,g],[g,g]], ... until stable.
+
+    Each step brackets all pairs of the current basis in one contraction and
+    takes the rank and the next basis from one SVD."""
     c = L.constants()
-    basis = np.eye(L.dim)
     dims = [L.dim]
-    current = basis
+    current = np.eye(L.dim)
     for _ in range(L.dim + 1):
         k = current.shape[0]
-        if k == 0:
-            break
-        products = []
-        for p in range(k):
-            for q in range(p + 1, k):
-                products.append(np.einsum("i,j,ijk->k", current[p], current[q], c))
-        products = np.array(products) if products else np.zeros((0, L.dim))
-        rank = _span_dim(products, tol)
-        if rank == 0:
+        p, q = np.triu_indices(k, 1)
+        if len(p) == 0:
             dims.append(0)
             break
-        u, s, vt = np.linalg.svd(products)
-        current = vt[:rank]
+        # [x_p, x_q] for p < q
+        products = np.einsum("qj,pjk->pqk", current, np.tensordot(current, c, axes=(1, 0)))[p, q]
+        _, s, vt = np.linalg.svd(products, full_matrices=False)
+        rank = int((s > tol * max(1.0, s[0])).sum())
         dims.append(rank)
-        if rank == dims[-2]:
+        if rank == 0 or rank == dims[-2]:
             break
+        current = vt[:rank]
     return tuple(dims)
 
 
-def is_solvable(L: LieAlgebra) -> bool:
-    return derived_series_dims(L)[-1] == 0
-
-
-def adjoint_matrix(L: LieAlgebra, vector: np.ndarray) -> np.ndarray:
-    """ad_x as a matrix for x given by coefficients over the basis."""
-    c = L.constants()
-    return np.einsum("i,ijk->kj", vector, c)
+def adjoint_matrix(L: LieAlgebra, vector: np.ndarray, c: np.ndarray | None = None) -> np.ndarray:
+    """ad_x as a matrix for x given by coefficients over the basis; c is
+    L.constants(), when the caller already has it."""
+    return np.einsum("i,ijk->kj", vector, L.constants() if c is None else c)
 
 
 def max_adjoint_imag(L: LieAlgebra, extra_samples: int = 8, seed: int = 0) -> float:
     """Largest relative imaginary part among adjoint eigenvalues, over the
-    basis plus a few fixed random combinations."""
+    basis plus a few fixed random combinations.  The spectra of all samples
+    come from one batched eigvals call."""
     rng = np.random.default_rng(seed)
-    worst = 0.0
+    c = L.constants()
     samples = [np.eye(L.dim)[i] for i in range(L.dim)]
     samples += [rng.standard_normal(L.dim) for _ in range(extra_samples)]
-    for x in samples:
-        eig = np.linalg.eigvals(adjoint_matrix(L, x))
-        scale = 1.0 + np.abs(eig).max()
-        worst = max(worst, float(np.abs(eig.imag).max() / scale))
-    return worst
+    eig = np.linalg.eigvals(np.stack([adjoint_matrix(L, x, c) for x in samples]))
+    scale = 1.0 + np.abs(eig).max(axis=1)
+    return float((np.abs(eig.imag).max(axis=1) / scale).max(initial=0.0))
 
 
-def is_completely_solvable(L: LieAlgebra, tol: float = 1e-2) -> bool:
-    """Solvable with real adjoint eigenvalues (checked numerically).
-
-    Nilpotent adjoint maps are numerically defective: a Jordan block of
-    size k scatters its zero eigenvalue over a disc of radius about
-    eps**(1/k), so the noise floor reaches ~1e-3 for the block sizes seen
-    here.  A genuine rotation puts the relative imaginary part at the
-    scale of the structure constants (~0.5), three orders above the
-    default tolerance.
-    """
-    return is_solvable(L) and max_adjoint_imag(L) < tol
+# An algebra is completely solvable when its derived series ends in 0 and
+# max_adjoint_imag stays below this.  Nilpotent adjoint maps are numerically
+# defective: a Jordan block of size k scatters its zero eigenvalue over a disc
+# of radius about eps**(1/k), so the noise floor reaches ~1e-3 for the block
+# sizes seen here.  A genuine rotation puts the relative imaginary part at the
+# scale of the structure constants (~0.5), three orders above the tolerance.
+COMPLETELY_SOLVABLE_TOL = 1e-2
 
 
 def killing_spectrum(L: LieAlgebra) -> np.ndarray:
     """Sorted eigenvalues of the Killing form B(x, y) = tr(ad_x ad_y)."""
-    ads = [adjoint_matrix(L, np.eye(L.dim)[i]) for i in range(L.dim)]
-    B = np.array([[np.trace(ai @ aj) for aj in ads] for ai in ads])
+    c = L.constants()
+    # ad_{e_i}[k, j] = c[i, j, k], so tr(ad_i ad_j) = sum_{k,l} c[i, l, k] c[j, k, l]
+    B = np.einsum("ilk,jkl->ij", c, c)
     return np.sort(np.linalg.eigvalsh(B))

@@ -43,7 +43,14 @@ from .intrinsic import (
     tpq_matrix,
     wpq_matrix,
 )
-from .lie import AdaptedBasis, LieAlgebra, NotExactError, d_matrix, solve_primitive
+from .lie import (
+    AdaptedBasis,
+    LieAlgebra,
+    NotExactError,
+    PreconditionError,
+    d_matrix,
+    solve_primitive,
+)
 
 
 @dataclass(frozen=True)
@@ -59,11 +66,11 @@ class SolveConfig:
     def __post_init__(self):
         if min(self.success_threshold, self.infeasibility_floor,
                self.lm_damping_init, self.init_scale) <= 0:
-            raise ValueError("thresholds must be positive")
+            raise PreconditionError("thresholds must be positive")
         if self.success_threshold >= self.infeasibility_floor:
-            raise ValueError("success_threshold must sit below infeasibility_floor")
+            raise PreconditionError("success_threshold must sit below infeasibility_floor")
         if self.starts < 1 or self.max_iters < 1:
-            raise ValueError("starts and max_iters must be positive")
+            raise PreconditionError("starts and max_iters must be positive")
 
 
 @dataclass
@@ -111,7 +118,7 @@ class Geometry:
             diff = cand.kappa - self.kappa0
             coeffs, *_ = np.linalg.lstsq(self.kernel.T, diff, rcond=None)
             if max_abs(coeffs @ self.kernel - diff) > 1e-9:
-                raise ValueError("candidate kappa is not a primitive plus kernel")
+                raise PreconditionError("candidate kappa is not a primitive plus kernel")
             vec.append(coeffs)
         return np.concatenate(vec)
 
@@ -452,7 +459,7 @@ def scan_curvature(family, lo: float, hi: float, steps: int,
     """
     if values is None:
         if steps < 2 or not (hi > lo):
-            raise ValueError("bad scan range")
+            raise PreconditionError("bad scan range")
         values = [lo + (hi - lo) * i / (steps - 1) for i in range(steps)]
     values = list(values)
 

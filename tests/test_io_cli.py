@@ -321,6 +321,37 @@ def test_internal_error_exits_5(monkeypatch, capsys, command):
     assert captured.out == ""
 
 
+@pytest.mark.parametrize("command,target", [
+    ("check", "all_residuals"), ("cone-verify", "special_blocks"), ("cmap", "qk_verify"),
+])
+def test_stray_value_error_exits_5(monkeypatch, capsys, command, target):
+    # Only the library's PreconditionError means "precondition" (exit 3); a
+    # bare ValueError from inside a command, as numpy raises, is internal.
+    import pskmap.cli as cli_module
+
+    def stray(*args, **kwargs):
+        raise ValueError("operands could not be broadcast together")
+
+    monkeypatch.setattr(cli_module, target, stray)
+    assert main([command, fixture("four_dim.json")]) == cli_module.EXIT_INTERNAL
+    assert capsys.readouterr().err.startswith("internal error: ValueError: ")
+
+
+@pytest.mark.parametrize("command,target", [
+    ("check", "all_residuals"), ("cone-verify", "special_blocks"), ("cmap", "qk_verify"),
+])
+def test_precondition_error_exits_3(monkeypatch, capsys, command, target):
+    import pskmap.cli as cli_module
+    from pskmap.lie import PreconditionError
+
+    def violated(*args, **kwargs):
+        raise PreconditionError("planted precondition")
+
+    monkeypatch.setattr(cli_module, target, violated)
+    assert main([command, fixture("four_dim.json")]) == cli_module.EXIT_PRECONDITION == 3
+    assert capsys.readouterr().err == "precondition: planted precondition\n"
+
+
 @pytest.mark.parametrize("options", [
     ["--values", "nan,2"],
     ["--values", "2,-inf"],

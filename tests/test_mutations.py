@@ -149,7 +149,7 @@ def test_lifted_lam_scale_caught_by_cone_structure_equation():
     sc = _special_cone(*four_dim_example(), four_dim_candidate())
     cone_lc(sc.CA, sc.mu, sc.lam)
     with pytest.raises(AssertionError, match="cone structure equation fails"):
-        cone_lc(sc.CA, sc.mu, sc.lam.map(lambda f: f.scale(1.01)))
+        cone_lc(sc.CA, sc.mu, sc.lam.scale(1.01))
 
 
 def test_lifted_mu_scale_caught_by_display_cross_check():
@@ -157,7 +157,7 @@ def test_lifted_mu_scale_caught_by_display_cross_check():
     # the honest curvature Omega, stays right; only the displays read mu.
     sc = _special_cone(*complex_hyperbolic(2), complex_hyperbolic_candidate(2))
     special_blocks(sc)
-    bad = dataclasses.replace(sc, mu=sc.mu.map(lambda f: f.scale(1.01)))
+    bad = dataclasses.replace(sc, mu=sc.mu.scale(1.01))
     with pytest.raises(AssertionError, match="honest curvature blocks disagree"):
         special_blocks(bad)
 

@@ -148,12 +148,13 @@ def test_ch4_quadratic_term_is_held_sparse():
 @pytest.mark.parametrize("name", ["four_dim", "flat_plus_ch1"])
 def test_intrinsic_side_never_calls_form_kernel(monkeypatch, rng, name):
     # The connection, curvature, residuals and compile run on the dense
-    # kernel; the cone oracle's ring-coefficient form arithmetic (its wedge,
-    # derivation and bracket rules) is its own, so acceptance 6 compares two
-    # independent computations.
+    # kernel; the cone oracle's ring-coefficient form arithmetic (every
+    # product expands pairs in _expand and every result is summed by
+    # _canonical; its bracket rules are its own) is its own, so acceptance 6
+    # compares two independent computations.
     geom = GEOMETRIES[name]()
     calls = []
-    for target in (cone._wedge_coeffs, cone.apply_derivation, cone._bracket_rules):
+    for target in (cone._expand, cone._canonical, cone._bracket_rules):
         def counted(*args, _f=target, **kwargs):
             calls.append(_f.__name__)
             return _f(*args, **kwargs)
