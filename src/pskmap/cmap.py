@@ -19,7 +19,7 @@ posteriori.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -183,9 +183,7 @@ def output_labels(n: int) -> list:
 
 @dataclass(frozen=True)
 class QKStructure:
-    """c-map image: the output Lie algebra with its quaternionic data at t=1.
-    tables are the twist frame's key tables, whose generators are the output
-    algebra's basis; the report reuses them."""
+    """c-map image: the output Lie algebra with its quaternionic data at t=1."""
 
     algebra: LieAlgebra
     n_base: int
@@ -193,7 +191,6 @@ class QKStructure:
     gram: np.ndarray
     omega_triple: tuple
     jacobi: float
-    tables: KeyTables | None = field(default=None, compare=False, repr=False)
 
     @property
     def dim(self) -> int:
@@ -375,7 +372,6 @@ def qk_algebra(L: LieAlgebra, B: AdaptedBasis, cand: PSKCandidate,
         gram=2.0 * np.eye(m),
         omega_triple=omega_triple,
         jacobi=jac,
-        tables=TF.tables,
     )
 
 
@@ -468,7 +464,7 @@ def sp1_fit_residual(Q: QKStructure) -> float:
     materialised."""
     m = Q.algebra.dim
     omegas = Q.omega_triple
-    tables = Q.tables if Q.tables is not None and Q.tables.m == m else KeyTables(m)
+    tables = KeyTables(m)
     n3 = tables.count(3)
     table = tables.wedge_table(1, 2).reshape(m, -1)
     A = np.zeros((3 * n3, 3 * m))

@@ -322,6 +322,13 @@ def wedge_sum(*items) -> "CFormMatrix":
     return _sum(spec, pieces)
 
 
+def _index(i: int, n: int) -> int:
+    """i as an index into n entries; negative i counts from the end, as for a list."""
+    if not -n <= i < n:
+        raise IndexError(f"index {i} out of range for {n} entries")
+    return i % n
+
+
 def _dt(mono: np.ndarray, val: np.ndarray):
     """d/dt of the terms: (source index, code, value) of the non-zero results."""
     k = (mono >> _K_SHIFT) - _K_OFFSET
@@ -406,7 +413,7 @@ class CFormMatrix:
     def __getitem__(self, ij) -> "CForm":
         """Entry (i, j); a single index i means (i, 0) of a column."""
         i, j = ij if isinstance(ij, tuple) else (ij, 0)
-        i, j = i % self.shape[0], j % self.shape[1]
+        i, j = _index(i, self.shape[0]), _index(j, self.shape[1])
         keep = (self.row == i) & (self.col == j)
         n = int(keep.sum())
         zeros = np.zeros(n, dtype=np.int64)
@@ -459,17 +466,12 @@ class CFormMatrix:
     def scale(self, factor) -> "CFormMatrix":
         """Every coefficient times a number or a ring element (a TrigLaurent)."""
         if isinstance(factor, CFormMatrix):
-            if len(factor) != 1 or factor.mono[0] & 1:
+            if len(factor) != 1 or factor.mono[0] != ONE:
                 spec = (self.shape, self.m, self.degree, self.tables)
                 starts = np.array([0, len(factor)])
                 return _sum(spec, _expand(
                     spec, self, factor, np.zeros(len(self), dtype=np.int64), starts,
                     lambda li, rj: (self.row[li], self.col[li], self.key[li] + 1)))
-            if factor.mono[0] != ONE:
-                # one monomial without sin: the same shift of every code keeps the order
-                shifted = self._like(self.row, self.col, self.key,
-                                     self.mono + (factor.mono[0] - ONE), self.val)
-                return _checked(shifted).scale(factor.val[0])
             factor = factor.val[0]
         val = self.val * float(factor)
         keep = np.abs(val) > PRUNE
@@ -793,8 +795,7 @@ class ConeAlgebra:
 
     @cached_property
     def tables(self) -> KeyTables:
-        first = self.d_rules[0].tables
-        return first if first is not None and first.m == self.m else KeyTables(self.m)
+        return self.d_rules[0].tables
 
     @cached_property
     def _operators(self) -> dict:
@@ -863,12 +864,8 @@ class ConeAlgebra:
         d(c e^K) = dc/dt psi ^ e^K + dc/dtau dtau ^ e^K + c d(e^K)."""
         op, starts = self._operator(x.degree)
         nk = self.tables.count(x.degree)
-        if np.count_nonzero(x.mono != ONE):
-            it, mono_t, val_t = _dt(x.mono, x.val)
-            iu, mono_u, val_u = _dtau(x.mono, x.val)
-        else:   # constant coefficients: only the generator part
-            it = iu = mono_t = mono_u = np.zeros(0, dtype=np.int64)
-            val_t = val_u = np.zeros(0)
+        it, mono_t, val_t = _dt(x.mono, x.val)
+        iu, mono_u, val_u = _dtau(x.mono, x.val)
         if len(iu) and not self.exact:
             raise DSquaredError("tau-dependent coefficients need a valid kappa")
         src = np.concatenate([np.arange(len(x)), it, iu])

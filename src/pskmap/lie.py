@@ -211,10 +211,10 @@ def derived_series_dims(L: LieAlgebra, tol: float = 1e-9) -> tuple:
     return tuple(dims)
 
 
-def adjoint_matrix(L: LieAlgebra, vector: np.ndarray, c: np.ndarray | None = None) -> np.ndarray:
-    """ad_x as a matrix for x given by coefficients over the basis; c is
-    L.constants(), when the caller already has it."""
-    return np.einsum("i,ijk->kj", vector, L.constants() if c is None else c)
+def adjoint_matrix(L: LieAlgebra, vector: np.ndarray) -> np.ndarray:
+    """ad_x as a matrix for x given by coefficients over the basis."""
+    c = L.constants()
+    return np.einsum("i,ijk->kj", vector, c)
 
 
 def max_adjoint_imag(L: LieAlgebra, extra_samples: int = 8, seed: int = 0) -> float:
@@ -225,7 +225,8 @@ def max_adjoint_imag(L: LieAlgebra, extra_samples: int = 8, seed: int = 0) -> fl
     c = L.constants()
     samples = [np.eye(L.dim)[i] for i in range(L.dim)]
     samples += [rng.standard_normal(L.dim) for _ in range(extra_samples)]
-    eig = np.linalg.eigvals(np.stack([adjoint_matrix(L, x, c) for x in samples]))
+    # ad_x per sample, by the same einsum as adjoint_matrix (bit-identical)
+    eig = np.linalg.eigvals(np.stack([np.einsum("i,ijk->kj", x, c) for x in samples]))
     scale = 1.0 + np.abs(eig).max(axis=1)
     return float((np.abs(eig.imag).max(axis=1) / scale).max(initial=0.0))
 

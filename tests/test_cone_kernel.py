@@ -198,6 +198,27 @@ class TestAgainstDictKernel:
         S = rng.standard_normal((4, 3)) * (rng.random((4, 3)) < 0.6)
         assert_same(scalar_matmul(S, A), ref.scalar_matmul(S, ref_matrix(A)))
 
+    @PROPERTY
+    @given(seeds, st.sampled_from([1, 3]))
+    def test_products_in_small_chunks(self, algebras, seed, chunk):
+        """Wedge, derivation and substitute with chunks of 1 or 3 pairs, so
+        that every product takes many chunks and single left terms outrun a
+        chunk."""
+        rng = np.random.default_rng(seed)
+        m = int(rng.integers(3, 7))
+        X, Y = random_matrix(rng, (2, 3), m, 1), random_matrix(rng, (3, 2), m, 1)
+        CA = algebras[int(rng.integers(0, 3))]
+        x = random_matrix(rng, (2, 2), CA.m, int(rng.integers(0, 3)))
+        f = random_form(rng, m, int(rng.integers(0, 4)))
+        images = [random_form(rng, m, 1, 2) for _ in range(m)]
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(cone, "CHUNK", chunk)
+            wedge, d, sub = X.wedge(Y), CA.d(x), f.substitute(CFormMatrix.stack(images))
+        assert_same(wedge, ref_matrix(X).wedge(ref_matrix(Y)))
+        assert_same(d, reference_d(CA, x))
+        assert_same(sub, ref_form(f).substitute({i + 1: ref_form(g)
+                                                 for i, g in enumerate(images)}))
+
     def test_d_squared_matches_on_rotated_generators(self, algebras):
         for CA in algebras:
             gens = CFormMatrix.stack([CA.basis(i) for i in range(1, CA.m + 1)])
@@ -217,6 +238,30 @@ def test_products_stay_canonical():
         assert (np.diff(code) > 0).all()
         assert (np.abs(Y.val) > cone.PRUNE).all()
         assert ((Y.mono & 3) <= 1).all()
+
+
+@pytest.mark.parametrize("chunk", [1, 3, 5])
+def test_pairs_cover_every_pair_once_in_bounded_chunks(monkeypatch, chunk):
+    monkeypatch.setattr(cone, "CHUNK", chunk)
+    starts = np.array([0, 4, 4, 5, 9])          # runs of 4, 0, 1 and 4 right terms
+    group = np.array([3, 0, 1, 2, 0, 3])
+    chunks = list(cone._pairs(group, starts))
+    got = sorted((int(i), int(j)) for li, rj in chunks for i, j in zip(li, rj))
+    want = sorted((i, j) for i, g in enumerate(group) for j in range(starts[g], starts[g + 1]))
+    assert got == want
+    # a chunk is longer than CHUNK only when one left term alone outruns it
+    assert all(len(li) <= chunk or len(set(li.tolist())) == 1 for li, _ in chunks)
+    assert len(chunks) > 1
+
+
+def test_entries_out_of_range_raise():
+    rng = np.random.default_rng(3)
+    X = random_matrix(rng, (3, 2), 4, 1)
+    assert terms_of(X[-1, -2]) == terms_of(X[2, 0])
+    assert terms_of(X[1]) == terms_of(X[1, 0])
+    for ij in (3, -4, (0, 2), (0, -3), (3, 0)):
+        with pytest.raises(IndexError):
+            X[ij]
 
 
 def test_monomial_outside_the_code_range_raises():
