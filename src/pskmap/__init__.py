@@ -3,7 +3,6 @@ verification of the intrinsic equations, an independent cone-level
 oracle, numerical candidate discovery, and the c-map to quaternionic
 Kahler algebras of dimension 4n+4."""
 
-from .forms import DEFAULT_TOL, ZeroTolerance
 from .lie import (
     AdaptedBasis,
     LieAlgebra,

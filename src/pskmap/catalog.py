@@ -8,6 +8,7 @@ import numpy as np
 
 from .intrinsic import PSKCandidate, SymTensor3
 from .lie import AdaptedBasis, LieAlgebra
+from .tolerance import FRAME_PRUNE
 
 
 def abelian(n: int):
@@ -122,7 +123,7 @@ def conjugate_algebra(L: LieAlgebra, R: np.ndarray) -> LieAlgebra:
     for i in range(m):
         for j in range(i + 1, m):
             for p in range(m):
-                if abs(cp[i, j, p]) > 1e-13:
+                if abs(cp[i, j, p]) > FRAME_PRUNE:
                     entries.append((i + 1, j + 1, p + 1, cp[i, j, p]))
     return LieAlgebra.from_brackets(m, entries)
 

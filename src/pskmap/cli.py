@@ -34,6 +34,7 @@ from .io import (
 )
 from .lie import AdaptedBasis, NotExactError, PreconditionError
 from .solver import SolveConfig, build_geometry, scan_curvature, solve
+from .tolerance import EXACT, GRAM_MIN_EIG, REPORT, SP1_FIT
 
 EXIT_OK = 0
 EXIT_RESIDUAL = 1
@@ -239,8 +240,8 @@ def cmd_cmap(args) -> int:
         "adjoint_imag_max": rep.adjoint_imag_max,
         "output_file": args.output,
     }
-    green = (rep.jacobi_residual < 1e-9 and rep.gram_min_eig > 0.1
-             and rep.sp1_residual < 1e-8 and rep.completely_solvable)
+    green = (rep.jacobi_residual < EXACT and rep.gram_min_eig > GRAM_MIN_EIG
+             and rep.sp1_residual < SP1_FIT and rep.completely_solvable)
     _emit(Report("cmap", "ok" if green else "ResidualFailure", payload))
     return EXIT_OK if green else EXIT_RESIDUAL
 
@@ -255,14 +256,14 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("check", help="evaluate all intrinsic residuals of a candidate")
     p.add_argument("path")
-    p.add_argument("--tol", type=_tolerance, default=1e-8)
+    p.add_argument("--tol", type=_tolerance, default=REPORT)
     p.set_defaults(fn=cmd_check)
 
     p = sub.add_parser("solve", help="search for a candidate by least squares")
     p.add_argument("path")
     p.add_argument("--starts", type=_integer_option(1), default=64)
     p.add_argument("--seed", type=_integer_option(0), default=None)
-    p.add_argument("--tol", type=_tolerance, default=1e-8)
+    p.add_argument("--tol", type=_tolerance, default=REPORT)
     p.add_argument("--kappa-free", action="store_true",
                    help="fall back to the kappa-free system when the Kahler "
                         "form has no invariant primitive")
@@ -277,7 +278,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="comma-separated explicit parameter list")
     p.add_argument("--starts", type=_integer_option(1), default=16)
     p.add_argument("--seed", type=_integer_option(0), default=None)
-    p.add_argument("--tol", type=_tolerance, default=1e-8)
+    p.add_argument("--tol", type=_tolerance, default=REPORT)
     p.add_argument("--no-polish", action="store_true")
     p.add_argument("--table", type=str, default=None,
                    help="also write a plain-text (parameter, residual) table")
@@ -285,13 +286,13 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("cone-verify", help="independent cone-level verification")
     p.add_argument("path")
-    p.add_argument("--tol", type=_tolerance, default=1e-8)
+    p.add_argument("--tol", type=_tolerance, default=REPORT)
     p.set_defaults(fn=cmd_cone_verify)
 
     p = sub.add_parser("cmap", help="apply the twist and emit the 4n+4 algebra")
     p.add_argument("path")
     p.add_argument("-o", "--output", type=str, default=None)
-    p.add_argument("--tol", type=_tolerance, default=1e-8)
+    p.add_argument("--tol", type=_tolerance, default=REPORT)
     p.set_defaults(fn=cmd_cmap)
     return parser
 

@@ -44,12 +44,12 @@ from .intrinsic import PSKCandidate, all_residuals, pq_from_tensors
 from .lie import (
     AdaptedBasis,
     LieAlgebra,
-    COMPLETELY_SOLVABLE_TOL,
     derived_series_dims,
     jacobi_residual,
     killing_spectrum,
     max_adjoint_imag,
 )
+from .tolerance import COMPLETELY_SOLVABLE, EXACT, REPORT
 
 # delta = (1/t) Delta exp(EXP_SIGN * i * tau).  Only -1 makes delta
 # X-invariant given phi(X) = 1 and a fiber coframe that X contracts to
@@ -100,13 +100,13 @@ def _planes(TF: TwistFrame, planes) -> CForm:
                       np.where(r < s, c, -c).astype(float))
 
 
-def twist_differential(TF: TwistFrame, beta: CFormMatrix, tol: float = 1e-9) -> CFormMatrix:
+def twist_differential(TF: TwistFrame, beta: CFormMatrix) -> CFormMatrix:
     """d_Q(beta) = d(beta) + (2/t^2) F ^ (X . beta) for X-invariant beta,
     entrywise over a matrix of forms."""
     d_beta = TF.d(beta)
     x_beta = TF.interior_x(beta)
     drift = wedge_sum(TF.interior_x(d_beta), TF.d(x_beta)).entry_norms()   # L_X beta
-    bad = drift > tol * (1.0 + beta.entry_norms())
+    bad = drift > EXACT * (1.0 + beta.entry_norms())
     if bad.any():
         raise NotInvariantError(f"Lie derivative along X has norm {drift[bad][0]:.3e}")
     F = TF.curvature_correction().scale(TrigLaurent.t_power(-2, 2.0))
@@ -114,7 +114,7 @@ def twist_differential(TF: TwistFrame, beta: CFormMatrix, tol: float = 1e-9) -> 
 
 
 def build_twist_frame(L: LieAlgebra, B: AdaptedBasis, cand: PSKCandidate,
-                      conn: ConnectionData, tol: float = 1e-9) -> TwistFrame:
+                      conn: ConnectionData) -> TwistFrame:
     """Assemble the extended frame over a verified geometry and check that
     d*d = 0 on the cotangent coframe (flatness of the special connection).
 
@@ -133,7 +133,7 @@ def build_twist_frame(L: LieAlgebra, B: AdaptedBasis, cand: PSKCandidate,
     TF = TwistFrame(L=L, B=B, kappa=cand.kappa, d_rules=tuple(rules), exact=True)
     scale = 1.0 + L.max_constant() ** 2 + max_abs(sc.p) ** 2
     res = TF.d_squared_residual()
-    if res > tol * scale:
+    if res > EXACT * scale:
         raise NotPSKError(
             f"d^2 = {res:.3e} on the cotangent coframe: special connection not flat"
         )
@@ -303,11 +303,11 @@ def verify_hyperkahler_frame(TF: TwistFrame) -> dict:
     }
 
 
-def _constant_or_raise(names: list, forms: CFormMatrix, tol: float, scale: float) -> np.ndarray:
+def _constant_or_raise(names: list, forms: CFormMatrix, scale: float) -> np.ndarray:
     """The constant forms of a column, (rows, keys); raises on the first row
-    that keeps a t or tau dependence above tol * scale."""
+    that keeps a t or tau dependence above EXACT * scale."""
     bad = forms.entry_norms(nonconstant=True)[:, 0]
-    over = np.flatnonzero(bad > tol * scale)
+    over = np.flatnonzero(bad > EXACT * scale)
     if len(over):
         i = over[0]
         raise NonConstantError(
@@ -318,7 +318,7 @@ def _constant_or_raise(names: list, forms: CFormMatrix, tol: float, scale: float
 
 
 def qk_algebra(L: LieAlgebra, B: AdaptedBasis, cand: PSKCandidate,
-               tol: float = 1e-8) -> QKStructure:
+               tol: float = REPORT) -> QKStructure:
     """Run the twist and read off the 4n+4-dimensional output algebra.
 
     All differentials are computed mechanically in the graded algebra and
@@ -340,7 +340,7 @@ def qk_algebra(L: LieAlgebra, B: AdaptedBasis, cand: PSKCandidate,
 
     # invariance of the fiber coframe fixes the exponential convention
     drift = TF.lie_x(deltas).entry_norms()[:, 0]
-    over = np.flatnonzero(drift > 1e-9 * scale)
+    over = np.flatnonzero(drift > EXACT * scale)
     if len(over):
         j = over[0]
         raise NonConstantError(
@@ -354,14 +354,14 @@ def qk_algebra(L: LieAlgebra, B: AdaptedBasis, cand: PSKCandidate,
                      TF.generators([TF.idx_psi], mono=mono_code(-1, 0, 0)), deltas],
                     [(0, 0), (m_base, 0), (m_base + 1, 0)])
     d_out = _constant_or_raise([f"d_Q of generator {g}" for g in range(1, m + 1)],
-                               twist_differential(TF, frame).substitute(sub), 1e-9, scale)
+                               twist_differential(TF, frame).substitute(sub), scale)
 
     keys = TF.tables.keys(2).tolist()
     entries = [(*keys[r], g, -f[r]) for g, f in enumerate(d_out, start=1)
                for r in np.flatnonzero(f)]
     out = LieAlgebra.from_brackets(m, entries)
     jac = jacobi_residual(out)
-    if jac > 1e-9 * (1.0 + out.max_constant()) ** 2:
+    if jac > EXACT * (1.0 + out.max_constant()) ** 2:
         raise NotPSKError(f"output Jacobi residual {jac:.3e}; twist assumptions violated")
 
     omega_triple = _output_triple(TF, sub, scale)
@@ -398,8 +398,7 @@ def _output_triple(TF: TwistFrame, sub: CFormMatrix, scale: float):
         omega_j_n.scale(cos) - omega_k_n.scale(sin),
         omega_j_n.scale(sin) + omega_k_n.scale(cos),
     ])
-    out = _constant_or_raise(["omega_I", "omega_J", "omega_K"], invariant.substitute(sub),
-                             1e-9, scale)
+    out = _constant_or_raise(["omega_I", "omega_J", "omega_K"], invariant.substitute(sub), scale)
     return tuple(out)
 
 
@@ -485,7 +484,7 @@ def qk_verify(Q: QKStructure) -> QKReport:
     In real dimension 8 (n = 1) the sp(1) fit is necessary but not
     sufficient; no sufficiency is claimed there.  Each diagnostic is
     computed once; complete solvability is read off the derived series and
-    the adjoint spectra (see lie.COMPLETELY_SOLVABLE_TOL).
+    the adjoint spectra (see tolerance.COMPLETELY_SOLVABLE).
     """
     derived = derived_series_dims(Q.algebra)
     imag = max_adjoint_imag(Q.algebra)
@@ -494,7 +493,7 @@ def qk_verify(Q: QKStructure) -> QKReport:
         jacobi_residual=Q.jacobi,
         gram_min_eig=float(np.linalg.eigvalsh(Q.gram).min()),
         sp1_residual=sp1_fit_residual(Q),
-        completely_solvable=derived[-1] == 0 and imag < COMPLETELY_SOLVABLE_TOL,
+        completely_solvable=derived[-1] == 0 and imag < COMPLETELY_SOLVABLE,
         derived_series=derived,
         adjoint_imag_max=imag,
         killing_eigs=tuple(np.round(killing_spectrum(Q.algebra), 10)),

@@ -52,8 +52,7 @@ from .connection import ConnectionData
 from .forms import max_abs
 from .intrinsic import pq_from_tensors
 from .lie import AdaptedBasis, LieAlgebra, check_adapted
-
-PRUNE = 1e-14
+from .tolerance import CONSTANT, EXACT, PRUNE
 
 # Monomial code of t^k cos^a sin^b: (k + _K_OFFSET) << 12 | a << 2 | b.  The
 # product of two codes is their sum minus ONE: with |k| < K_LIMIT and
@@ -708,8 +707,8 @@ class TrigLaurent(CForm):
     def eval(self, t: float, tau: float) -> float:
         return float(self.eval_at(t, tau)[0])
 
-    def is_constant(self, tol: float = 1e-12) -> bool:
-        return bool((np.abs(self.val[self.mono != ONE]) <= tol).all())
+    def is_constant(self) -> bool:
+        return bool((np.abs(self.val[self.mono != ONE]) <= CONSTANT).all())
 
     def constant_part(self) -> float:
         return float(self.val[self.mono == ONE].sum())
@@ -965,8 +964,7 @@ def _bracket_rules(L: LieAlgebra, m: int) -> list:
     return [CForm(m, 2, r, tables) for r in rules]
 
 
-def cone_coframe(L: LieAlgebra, B: AdaptedBasis, kappa: np.ndarray | None,
-                 tol: float = 1e-9) -> ConeAlgebra:
+def cone_coframe(L: LieAlgebra, B: AdaptedBasis, kappa: np.ndarray | None) -> ConeAlgebra:
     """Build the cone algebra; verifies d*d = 0 (raises DSquaredError).
 
     kappa may be None for diagnostics that never touch tau-dependent
@@ -985,11 +983,11 @@ def cone_coframe(L: LieAlgebra, B: AdaptedBasis, kappa: np.ndarray | None,
     CA = ConeAlgebra(L=L, B=B, kappa=kappa, d_rules=tuple(rules), exact=kappa is not None)
     scale = 1.0 + L.max_constant() ** 2
     res = CA.d_squared_residual()
-    if res > tol * scale:
+    if res > EXACT * scale:
         raise DSquaredError(f"d^2 residual {res:.3e} (bad kappa or bad algebra)")
     if kappa is not None:
         res = CA.d(CA.dtau).norm_inf()
-        if res > tol * (1.0 + L.max_constant() * (1.0 + max_abs(kappa))):
+        if res > EXACT * (1.0 + L.max_constant() * (1.0 + max_abs(kappa))):
             raise DSquaredError(f"d(d tau) = {res:.3e}: kappa is not a primitive of omega_S")
     return CA
 
@@ -1030,8 +1028,7 @@ def _constant_frame(CA: ConeAlgebra) -> CFormMatrix:
     return CFormMatrix.one_forms((CA.m, CA.m), CA.m, CA.tables, row, col, gen, val)
 
 
-def cone_lc(CA: ConeAlgebra, mu: CFormMatrix, lam: CFormMatrix,
-            tol: float = 1e-9) -> CFormMatrix:
+def cone_lc(CA: ConeAlgebra, mu: CFormMatrix, lam: CFormMatrix) -> CFormMatrix:
     """Levi-Civita connection matrix of the cone metric in the hatted coframe,
     from the lifted base connection blocks mu~, lam~.
 
@@ -1043,7 +1040,7 @@ def cone_lc(CA: ConeAlgebra, mu: CFormMatrix, lam: CFormMatrix,
                     [(0, 0), (0, n), (n, 0), (n, n), (0, 0)])
     theta = CA.hatted_coframe()
     struct = wedge_sum(CA.d(theta), (omega, theta))
-    if struct.norm_inf() > tol:
+    if struct.norm_inf() > EXACT:
         rows = struct.entry_norms()[:, 0]
         bad = int(np.argmax(rows))
         raise AssertionError(
@@ -1053,7 +1050,7 @@ def cone_lc(CA: ConeAlgebra, mu: CFormMatrix, lam: CFormMatrix,
     G, I = CA._fixed["G"], CA._fixed["I"]
     sym_g = wedge_sum((omega.transpose(), G), (G, omega)).norm_inf()
     sym_i = wedge_sum((I, omega), (-omega, I)).norm_inf()
-    if max(sym_g, sym_i) > tol:
+    if max(sym_g, sym_i) > EXACT:
         raise AssertionError(f"cone connection symmetry residuals G={sym_g:.2e} i={sym_i:.2e}")
     return omega
 
@@ -1178,7 +1175,7 @@ def special_blocks(sc: SpecialCone):
                   (-u, v), (v, u)).norm_inf(),
     )
     scale = 1.0 + CA.L.max_constant() ** 2 + max_abs(sc.p) ** 2 + max_abs(sc.q) ** 2
-    if mismatch > 1e-9 * scale:
+    if mismatch > EXACT * scale:
         raise AssertionError(
             f"honest curvature blocks disagree with displayed formulas by {mismatch:.3e}"
         )

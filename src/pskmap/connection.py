@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .forms import DEFAULT_TOL, DenseExterior, ZeroTolerance, max_abs
+from .forms import DenseExterior, max_abs
 from .lie import (
     AdaptedBasis,
     LieAlgebra,
@@ -26,6 +26,7 @@ from .lie import (
     d_matrix,
     validate_lie_algebra,
 )
+from .tolerance import EXACT, KOSZUL, exact_bound
 
 
 class NotKahlerError(Exception):
@@ -92,7 +93,7 @@ def _u_shape_residual(omega: np.ndarray, n: int) -> float:
                max_abs(omega[:n, n:] + omega[n:, :n]))
 
 
-def levi_civita(L: LieAlgebra, B: AdaptedBasis, tol: ZeroTolerance = DEFAULT_TOL) -> ConnectionData:
+def levi_civita(L: LieAlgebra, B: AdaptedBasis) -> ConnectionData:
     """Connection blocks (mu, lam) of the left-invariant metric.
 
     Raises NotKahlerError when the computed matrix does not commute with
@@ -104,14 +105,14 @@ def levi_civita(L: LieAlgebra, B: AdaptedBasis, tol: ZeroTolerance = DEFAULT_TOL
     omega = _koszul_matrix(L)
     scale = 1.0 + L.max_constant()
     struct = _structural_residual(L, omega)
-    if struct > 1e-10 * scale:
+    if struct > KOSZUL * scale:
         raise RuntimeError(f"structure equation residual {struct:.3e}; Koszul assembly bug")
     n = B.n
     shape = _u_shape_residual(omega, n)
-    if shape > tol.bound(scale):
+    if shape > exact_bound(scale):
         raise NotKahlerError(f"u(n) shape residual {shape:.3e}")
     conn = ConnectionData(omega[:n, :n], omega[:n, n:])
-    if conn.shape_residual() > tol.bound(scale):
+    if conn.shape_residual() > exact_bound(scale):
         raise NotKahlerError(f"block symmetry residual {conn.shape_residual():.3e}")
     return conn
 
@@ -121,8 +122,8 @@ class KahlerReport:
     domega_norm: float
     shape_residual: float
 
-    def is_kahler(self, tol: ZeroTolerance = DEFAULT_TOL, scale: float = 0.0) -> bool:
-        return max(self.domega_norm, self.shape_residual) <= tol.bound(scale)
+    def is_kahler(self) -> bool:
+        return max(self.domega_norm, self.shape_residual) <= EXACT
 
 
 def kahler_check(L: LieAlgebra, B: AdaptedBasis) -> KahlerReport:

@@ -16,34 +16,10 @@ generators.  This makes block extraction a plain index slice.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import combinations
 from math import comb
 
 import numpy as np
-
-# Float coefficients of size at most PRUNE_EPS are dropped where a form is
-# built from data (lie's d-rules, primitives and closed one-forms) or written
-# out (candidate JSON), so that rounding noise is not carried along.
-PRUNE_EPS = 1e-14
-
-
-@dataclass(frozen=True)
-class ZeroTolerance:
-    """Absolute/relative tolerance pair used for all form comparisons."""
-
-    abs_eps: float = 1e-9
-    rel_eps: float = 1e-9
-
-    def __post_init__(self) -> None:
-        if self.abs_eps <= 0.0 or self.rel_eps <= 0.0:
-            raise ValueError("tolerances must be strictly positive")
-
-    def bound(self, scale: float = 0.0) -> float:
-        return self.abs_eps + self.rel_eps * abs(scale)
-
-
-DEFAULT_TOL = ZeroTolerance()
 
 
 def sort_with_sign(indices):

@@ -27,8 +27,9 @@ from itertools import combinations_with_replacement, product
 import numpy as np
 
 from .connection import ConnectionData, CurvatureData, ch_model
-from .forms import DEFAULT_TOL, DenseExterior, ZeroTolerance, max_abs
+from .forms import DenseExterior, max_abs
 from .lie import AdaptedBasis, LieAlgebra, PreconditionError, d_matrix
+from .tolerance import TORSION, exact_bound
 
 # +1 selects "+4 kappa^q" in the p-equation and "-4 kappa^p" in the
 # q-equation; the opposite sign regime is not supported.
@@ -101,17 +102,17 @@ class PSKCandidate:
     def n(self) -> int:
         return self.Sa.n
 
-    def validate(self, L: LieAlgebra, tol: ZeroTolerance = DEFAULT_TOL) -> None:
+    def validate(self, L: LieAlgebra) -> None:
         """Check d(kappa) = omega_S against the supplied algebra."""
         res = max_abs(d_matrix(L, 1) @ self.kappa - DenseExterior(2 * self.n).kahler())
-        if res > tol.bound(1.0):
+        if res > exact_bound(1.0):
             raise PreconditionError(f"kappa is not a primitive of omega_S (residual {res:.3e})")
 
 
 def make_candidate(L: LieAlgebra, B: AdaptedBasis, Sa: SymTensor3, Sb: SymTensor3,
-                   kappa: np.ndarray, tol: ZeroTolerance = DEFAULT_TOL) -> PSKCandidate:
+                   kappa: np.ndarray) -> PSKCandidate:
     cand = PSKCandidate(Sa, Sb, kappa)
-    cand.validate(L, tol)
+    cand.validate(L)
     return cand
 
 
@@ -138,7 +139,7 @@ def build_pq(cand: PSKCandidate):
     p, q = pq_from_tensors(cand.Sa, cand.Sb)
     scale = 1.0 + max(cand.Sa.norm_inf(), cand.Sb.norm_inf())
     res = torsion_residual(p, q)
-    if res > 1e-12 * scale:
+    if res > TORSION * scale:
         raise AssertionError(f"total symmetry should kill torsion, residual {res:.3e}")
     return p, q
 

@@ -20,7 +20,7 @@ appear at most once; a repeat is a ParseError, also when one of two bracket
 rows on the same (i, j, k) is parametric.
 
 The candidate's kappa is read into a (2n,) array; writing it lists only the
-entries of size above forms.PRUNE_EPS.
+entries of size above tolerance.PRUNE.
 
 Every number must be a finite JSON number (not a bool or a string) of
 magnitude at most MAX_MAGNITUDE, every index an integer and n at most MAX_N;
@@ -35,9 +35,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .forms import PRUNE_EPS
 from .intrinsic import PSKCandidate, SymTensor3
 from .lie import AdaptedBasis, LieAlgebra
+from .tolerance import PRUNE
 
 SCHEMA_VERSION = 1
 
@@ -202,7 +202,7 @@ def algebra_to_dict(L: LieAlgebra, B: AdaptedBasis, labels=None,
             "Sa": [[i, j, k, v] for (i, j, k), v in sorted(candidate.Sa.data.items())],
             "Sb": [[i, j, k, v] for (i, j, k), v in sorted(candidate.Sb.data.items())],
             "kappa": [[i + 1, float(v)] for i, v in enumerate(candidate.kappa)
-                      if abs(v) > PRUNE_EPS],
+                      if abs(v) > PRUNE],
         }
     return out
 

@@ -15,7 +15,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .forms import DEFAULT_TOL, PRUNE_EPS, ZeroTolerance, all_keys, max_abs, sort_with_sign
+from .forms import all_keys, max_abs, sort_with_sign
+from .tolerance import (
+    BRACKET_PRUNE,
+    DERIVED_RANK,
+    JACOBI_INPUT,
+    NULL_RCOND,
+    PRUNE,
+    exact_bound,
+)
 
 
 class NotExactError(Exception):
@@ -53,9 +61,11 @@ class LieAlgebra:
             if i > j:
                 i, j, c = j, i, -c
             merged[(i, j, k)] = merged.get((i, j, k), 0.0) + float(c)
-        # a NaN fails abs(c) <= 1e-15 too, so it is kept for __post_init__ to reject
+        # a NaN fails abs(c) <= BRACKET_PRUNE too, so it is kept for
+        # __post_init__ to reject
         items = tuple(
-            (i, j, k, c) for (i, j, k), c in sorted(merged.items()) if not abs(c) <= 1e-15
+            (i, j, k, c) for (i, j, k), c in sorted(merged.items())
+            if not abs(c) <= BRACKET_PRUNE
         )
         return cls(dim, items)
 
@@ -105,7 +115,7 @@ def jacobi_residual(L: LieAlgebra) -> float:
 
 
 def validate_lie_algebra(L: LieAlgebra) -> None:
-    bound = 1e-10 * (1.0 + L.max_constant()) ** 2
+    bound = JACOBI_INPUT * (1.0 + L.max_constant()) ** 2
     res = jacobi_residual(L)
     if res > bound:
         raise PreconditionError(f"Jacobi residual {res:.3e} exceeds bound {bound:.3e}")
@@ -114,10 +124,10 @@ def validate_lie_algebra(L: LieAlgebra) -> None:
 def _d_rules(L: LieAlgebra) -> list:
     """d(e^k) = -sum c^k_ij e^i ^ e^j, read off the brackets: for each k the
     ((i, j), -c) pairs in bracket order, without constants of size at most
-    PRUNE_EPS."""
+    PRUNE."""
     rules: list = [[] for _ in range(L.dim)]
     for (i, j, k, c) in L.brackets:
-        if abs(c) > PRUNE_EPS:
+        if abs(c) > PRUNE:
             rules[k - 1].append(((i, j), -c))
     return rules
 
@@ -142,41 +152,41 @@ def d_matrix(L: LieAlgebra, k: int) -> np.ndarray:
 
 
 def _pruned(x: np.ndarray) -> np.ndarray:
-    return np.where(np.abs(x) > PRUNE_EPS, x, 0.0)
+    return np.where(np.abs(x) > PRUNE, x, 0.0)
 
 
-def closed_one_forms(L: LieAlgebra, tol: float = 1e-12) -> np.ndarray:
+def closed_one_forms(L: LieAlgebra) -> np.ndarray:
     """Orthonormal basis of the invariant closed one-forms, as the rows of an
     (r, dim) array: the right singular vectors of d beyond its rank, counting
-    singular values above tol * (largest) as in
-    scipy.linalg.null_space(D, rcond=tol).  Entries of size at most
-    PRUNE_EPS are zeroed."""
+    singular values above NULL_RCOND * (largest) as in
+    scipy.linalg.null_space(D, rcond=NULL_RCOND).  Entries of size at most
+    PRUNE are zeroed."""
     D = d_matrix(L, 1)
     if np.abs(D).max() == 0.0:
         return np.eye(L.dim)
     _, s, vh = np.linalg.svd(D, full_matrices=True)
-    return _pruned(vh[int((s > s.max() * tol).sum()):])
+    return _pruned(vh[int((s > s.max() * NULL_RCOND).sum()):])
 
 
-def solve_primitive(L: LieAlgebra, omega: np.ndarray, tol: ZeroTolerance = DEFAULT_TOL):
+def solve_primitive(L: LieAlgebra, omega: np.ndarray):
     """Solve d(kappa) = omega for an invariant one-form kappa, with omega a
     two-form over all_keys(L.dim, 2).
 
     Returns the minimum-norm particular solution, a (dim,) array, together
     with closed_one_forms(L) (the affine solution set is kappa plus their
     span).  Raises NotExactError when the least-squares residual of the
-    linear system stays above tolerance.
+    linear system stays above tolerance.exact_bound.
     """
     omega = np.asarray(omega, dtype=float)
     if omega.shape != (len(all_keys(L.dim, 2)),):
         raise PreconditionError("expected a two-form over the algebra")
     scale = 1.0 + max_abs(omega)
-    if max_abs(d_matrix(L, 2) @ omega) > tol.bound(scale):
+    if max_abs(d_matrix(L, 2) @ omega) > exact_bound(scale):
         raise PreconditionError("omega is not closed")
     D = d_matrix(L, 1)
     x, *_ = np.linalg.lstsq(D, omega, rcond=None)
     residual = max_abs(D @ x - omega)
-    if residual > tol.bound(scale):
+    if residual > exact_bound(scale):
         raise NotExactError(
             f"no invariant primitive: least-squares residual {residual:.3e}"
         )
@@ -186,7 +196,7 @@ def solve_primitive(L: LieAlgebra, omega: np.ndarray, tol: ZeroTolerance = DEFAU
 # -- solvability helpers (used on c-map outputs) ----------------------
 
 
-def derived_series_dims(L: LieAlgebra, tol: float = 1e-9) -> tuple:
+def derived_series_dims(L: LieAlgebra) -> tuple:
     """Dimensions of the derived series g, [g,g], [[g,g],[g,g]], ... until stable.
 
     Each step brackets all pairs of the current basis in one contraction and
@@ -203,7 +213,7 @@ def derived_series_dims(L: LieAlgebra, tol: float = 1e-9) -> tuple:
         # [x_p, x_q] for p < q
         products = np.einsum("qj,pjk->pqk", current, np.tensordot(current, c, axes=(1, 0)))[p, q]
         _, s, vt = np.linalg.svd(products, full_matrices=False)
-        rank = int((s > tol * max(1.0, s[0])).sum())
+        rank = int((s > DERIVED_RANK * max(1.0, s[0])).sum())
         dims.append(rank)
         if rank == 0 or rank == dims[-2]:
             break
@@ -217,27 +227,18 @@ def adjoint_matrix(L: LieAlgebra, vector: np.ndarray) -> np.ndarray:
     return np.einsum("i,ijk->kj", vector, c)
 
 
-def max_adjoint_imag(L: LieAlgebra, extra_samples: int = 8, seed: int = 0) -> float:
+def max_adjoint_imag(L: LieAlgebra) -> float:
     """Largest relative imaginary part among adjoint eigenvalues, over the
-    basis plus a few fixed random combinations.  The spectra of all samples
-    come from one batched eigvals call."""
-    rng = np.random.default_rng(seed)
+    basis plus eight fixed random combinations (seed 0).  The spectra of all
+    samples come from one batched eigvals call."""
+    rng = np.random.default_rng(0)
     c = L.constants()
     samples = [np.eye(L.dim)[i] for i in range(L.dim)]
-    samples += [rng.standard_normal(L.dim) for _ in range(extra_samples)]
+    samples += [rng.standard_normal(L.dim) for _ in range(8)]
     # ad_x per sample, by the same einsum as adjoint_matrix (bit-identical)
     eig = np.linalg.eigvals(np.stack([np.einsum("i,ijk->kj", x, c) for x in samples]))
     scale = 1.0 + np.abs(eig).max(axis=1)
     return float((np.abs(eig.imag).max(axis=1) / scale).max(initial=0.0))
-
-
-# An algebra is completely solvable when its derived series ends in 0 and
-# max_adjoint_imag stays below this.  Nilpotent adjoint maps are numerically
-# defective: a Jordan block of size k scatters its zero eigenvalue over a disc
-# of radius about eps**(1/k), so the noise floor reaches ~1e-3 for the block
-# sizes seen here.  A genuine rotation puts the relative imaginary part at the
-# scale of the structure constants (~0.5), three orders above the tolerance.
-COMPLETELY_SOLVABLE_TOL = 1e-2
 
 
 def killing_spectrum(L: LieAlgebra) -> np.ndarray:

@@ -51,26 +51,38 @@ from .lie import (
     d_matrix,
     solve_primitive,
 )
+from .tolerance import (
+    DISTINCT,
+    EXACT,
+    GAUGE_PRUNE,
+    INFEASIBILITY_FLOOR,
+    LM_DAMPING,
+    LM_DAMPING_MAX,
+    LM_DAMPING_MIN,
+    LM_DIAG_FLOOR,
+    LM_GRADIENT_STOP,
+    LM_MAX_ITERS,
+    LM_RESIDUAL_STOP,
+    POLISH_FLOOR,
+    POLISH_XTOL,
+    REPORT,
+)
 
 
 @dataclass(frozen=True)
 class SolveConfig:
     starts: int = 64
     seed: int = 0
-    max_iters: int = 500
-    lm_damping_init: float = 1e-3
-    success_threshold: float = 1e-8
-    infeasibility_floor: float = 1e-2
-    init_scale: float = 1.0
+    success_threshold: float = REPORT
 
     def __post_init__(self):
-        if min(self.success_threshold, self.infeasibility_floor,
-               self.lm_damping_init, self.init_scale) <= 0:
-            raise PreconditionError("thresholds must be positive")
-        if self.success_threshold >= self.infeasibility_floor:
-            raise PreconditionError("success_threshold must sit below infeasibility_floor")
-        if self.starts < 1 or self.max_iters < 1:
-            raise PreconditionError("starts and max_iters must be positive")
+        if self.success_threshold <= 0:
+            raise PreconditionError("success_threshold must be positive")
+        if self.success_threshold >= INFEASIBILITY_FLOOR:
+            raise PreconditionError(
+                f"success_threshold must sit below the infeasibility floor {INFEASIBILITY_FLOOR:g}")
+        if self.starts < 1:
+            raise PreconditionError("starts must be positive")
 
 
 @dataclass
@@ -117,7 +129,7 @@ class Geometry:
         if self.exact:
             diff = cand.kappa - self.kappa0
             coeffs, *_ = np.linalg.lstsq(self.kernel.T, diff, rcond=None)
-            if max_abs(coeffs @ self.kernel - diff) > 1e-9:
+            if max_abs(coeffs @ self.kernel - diff) > EXACT:
                 raise PreconditionError("candidate kappa is not a primitive plus kernel")
             vec.append(coeffs)
         return np.concatenate(vec)
@@ -280,20 +292,20 @@ def compiled(geom: Geometry) -> CompiledResidual:
 # -- damped least squares ---------------------------------------------
 
 
-def _lm_minimize(fun: CompiledResidual, x0: np.ndarray, cfg: SolveConfig):
+def _lm_minimize(fun: CompiledResidual, x0: np.ndarray):
     x = x0.copy()
-    lam = cfg.lm_damping_init
+    lam = LM_DAMPING
     r = fun(x)
     cost = float(r @ r)
-    for _ in range(cfg.max_iters):
-        if np.abs(r).max() < 1e-14:
+    for _ in range(LM_MAX_ITERS):
+        if np.abs(r).max() < LM_RESIDUAL_STOP:
             break
         J = fun.jacobian(x)
         g = J.T @ r
-        if np.abs(g).max() < 1e-16:
+        if np.abs(g).max() < LM_GRADIENT_STOP:
             break
         H = J.T @ J
-        diag = np.diag(np.maximum(np.diag(H), 1e-12))
+        diag = np.diag(np.maximum(np.diag(H), LM_DIAG_FLOOR))
         accepted = False
         for _ in range(60):
             try:
@@ -305,11 +317,11 @@ def _lm_minimize(fun: CompiledResidual, x0: np.ndarray, cfg: SolveConfig):
             if cost_new < cost:
                 x = x + step
                 r, cost = r_new, cost_new
-                lam = max(lam / 3.0, 1e-14)
+                lam = max(lam / 3.0, LM_DAMPING_MIN)
                 accepted = True
                 break
             lam *= 4.0
-            if lam > 1e14:
+            if lam > LM_DAMPING_MAX:
                 break
         if not accepted:
             break
@@ -332,7 +344,7 @@ def _gauge_angle(Sa: SymTensor3, Sb: SymTensor3):
     """Rotation making the dominant tensor entry land entirely in Sa, >= 0."""
     va, vb = Sa.to_vector(), Sb.to_vector()
     mags = va ** 2 + vb ** 2
-    if mags.max() < 1e-24:
+    if mags.max() < GAUGE_PRUNE:
         return 0.0, 0
     lead = int(np.argmax(mags))
     return math.atan2(vb[lead], va[lead]), lead
@@ -366,8 +378,8 @@ def solve(geom: Geometry, cfg: SolveConfig = SolveConfig()) -> SolveResult:
     best = None
     for s in range(cfg.starts):
         rng = np.random.default_rng((cfg.seed, s))
-        x0 = rng.uniform(-cfg.init_scale, cfg.init_scale, size=d)
-        x, res = _lm_minimize(fun, x0, cfg)
+        x0 = rng.uniform(-1.0, 1.0, size=d)
+        x, res = _lm_minimize(fun, x0)
         finals.append((res, s, x))
         if best is None or (res, s) < (best[0], best[1]):
             best = (res, s, x)
@@ -378,12 +390,12 @@ def solve(geom: Geometry, cfg: SolveConfig = SolveConfig()) -> SolveResult:
     for res, s, x in sorted(solved, key=lambda f: (f[0], f[1])):
         Sa, Sb, kappa = geom.unpack(x)
         canda = _normalized_candidate(geom, Sa, Sb, kappa)[0]
-        if not any(_orbit_distance_tensors(canda, other) < 1e-6 for other in orbits):
+        if not any(_orbit_distance_tensors(canda, other) < DISTINCT for other in orbits):
             orbits.append(canda)
 
     if best_res < cfg.success_threshold:
         status = "Solved"
-    elif all(f[0] > cfg.infeasibility_floor for f in finals):
+    elif all(f[0] > INFEASIBILITY_FLOOR for f in finals):
         status = "LikelyInfeasible"
     else:
         status = "Inconclusive"
@@ -448,11 +460,10 @@ class ScanResult:
 
 def scan_curvature(family, lo: float, hi: float, steps: int,
                    cfg: SolveConfig = SolveConfig(), *, values=None,
-                   polish: bool = True, polish_floor: float = 0.5,
-                   polish_tol: float = 1e-9) -> ScanResult:
+                   polish: bool = True) -> ScanResult:
     """Residual landscape of a one-parameter family of Kahler algebras.
 
-    Grid minima below polish_floor are refined by golden-section search
+    Grid minima below tolerance.POLISH_FLOOR are refined by golden-section search
     on the best-residual function, so feasible parameters need not sit
     on the grid.  Geometries whose Kahler form is not exact fall back to
     the kappa-free stack.
@@ -478,7 +489,7 @@ def scan_curvature(family, lo: float, hi: float, steps: int,
     polished = []
     if polish and len(values) > 2:
         for i, pt in enumerate(points):
-            if pt.best_residual >= polish_floor:
+            if pt.best_residual >= POLISH_FLOOR:
                 continue
             left = points[i - 1].best_residual if i > 0 else math.inf
             right = points[i + 1].best_residual if i + 1 < len(points) else math.inf
@@ -486,16 +497,16 @@ def scan_curvature(family, lo: float, hi: float, steps: int,
                 continue
             a = points[i - 1].parameter if i > 0 else pt.parameter
             b = points[i + 1].parameter if i + 1 < len(points) else pt.parameter
-            c_star, r_star = _golden_minimize(lambda c: best_at(c)[0], a, b, polish_tol)
+            c_star, r_star = _golden_minimize(lambda c: best_at(c)[0], a, b, POLISH_XTOL)
             polished.append((c_star, r_star))
             if r_star < cfg.success_threshold and not any(
-                abs(c_star - f) < 1e-6 for f in feasible
+                abs(c_star - f) < DISTINCT for f in feasible
             ):
                 feasible.append(c_star)
     feasible.sort()
     deduped = []
     for c in feasible:
-        if not deduped or abs(c - deduped[-1]) > 1e-6:
+        if not deduped or abs(c - deduped[-1]) > DISTINCT:
             deduped.append(c)
     return ScanResult(points=points, feasible=deduped, polished=polished)
 

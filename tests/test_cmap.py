@@ -28,7 +28,7 @@ from pskmap.cmap import (
 from pskmap.cone import CForm, TrigLaurent
 from pskmap.connection import levi_civita
 from pskmap.intrinsic import PSKCandidate, rotate_tensors
-from pskmap.lie import LieAlgebra, jacobi_residual
+from pskmap.lie import LieAlgebra, adjoint_matrix, jacobi_residual
 
 
 @pytest.fixture(scope="module")
@@ -174,6 +174,23 @@ class TestQKVerify:
         assert rep.gram_min_eig > 0.1
         assert rep.sp1_residual < 1e-8
         assert rep.completely_solvable
+
+    def test_kappa_shift_along_closed_form_rotates_ad_e1(self):
+        # A solver output on CH(2) can sit anywhere along the closed one-form
+        # a^1: shifting kappa by l there gives ad_{e1} of the output
+        # eigenvalues with imaginary part exactly 2l, so complete solvability
+        # fails for l well above noise, while the sp(1) fit stays exact.
+        L, B = complex_hyperbolic(2)
+        flat = complex_hyperbolic_candidate(2)
+        l = 0.0306
+        shifted = PSKCandidate(flat.Sa, flat.Sb, flat.kappa + np.array([l, 0.0, 0.0, 0.0]))
+        Q = qk_algebra(L, B, shifted)
+        eig = np.linalg.eigvals(adjoint_matrix(Q.algebra, np.eye(Q.dim)[0]))
+        assert abs(np.abs(eig.imag).max() - 2.0 * l) < 1e-6
+        rep = qk_verify(Q)
+        assert not rep.completely_solvable
+        assert rep.sp1_residual < 1e-8
+        assert qk_verify(qk_algebra(L, B, flat)).adjoint_imag_max < 1e-5
 
     def test_perturbed_constants_fail(self, rng):
         L, B = ch1(2.0)

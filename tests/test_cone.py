@@ -19,7 +19,6 @@ from pskmap.catalog import (
     four_dim_example,
 )
 from pskmap.cone import (
-    PRUNE,
     CForm,
     DSquaredError,
     TrigLaurent,
@@ -37,6 +36,7 @@ from pskmap.forms import DenseExterior, all_keys, max_abs
 from pskmap.intrinsic import SymTensor3, all_residuals, pq_from_tensors, rotate_tensors
 from pskmap.io import save_algebra_file
 from pskmap.lie import solve_primitive
+from pskmap.tolerance import PRUNE
 
 
 def _padded(x, m):

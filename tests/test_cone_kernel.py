@@ -34,6 +34,7 @@ from pskmap.cone import (
 from pskmap.connection import levi_civita
 from pskmap.forms import DenseExterior
 from pskmap.lie import solve_primitive
+from pskmap.tolerance import PRUNE
 
 BOUND = 1e-12
 PROPERTY = settings(max_examples=40, deadline=None)
@@ -236,7 +237,7 @@ def test_products_stay_canonical():
         code = (((Y.row * Y.shape[1] + Y.col) * math.comb(6, Y.degree) + Y.key)
                 << cone.MONO_BITS) | Y.mono
         assert (np.diff(code) > 0).all()
-        assert (np.abs(Y.val) > cone.PRUNE).all()
+        assert (np.abs(Y.val) > PRUNE).all()
         assert ((Y.mono & 3) <= 1).all()
 
 

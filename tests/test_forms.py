@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from pskmap.catalog import four_dim_candidate, four_dim_example
-from pskmap.forms import DenseExterior, ZeroTolerance, all_keys, max_abs
+from pskmap.forms import DenseExterior, all_keys, max_abs
 from pskmap.intrinsic import PSKCandidate, j_action
 from pskmap.io import algebra_to_dict
 
@@ -157,14 +157,8 @@ class TestApplyJ:
 
 
 class TestTolerance:
-    def test_positive_required(self):
-        with pytest.raises(ValueError):
-            ZeroTolerance(abs_eps=0.0)
-        with pytest.raises(ValueError):
-            ZeroTolerance(rel_eps=-1.0)
-
     def test_pruning(self):
-        # kappa entries of size at most forms.PRUNE_EPS are not written out
+        # kappa entries of size at most tolerance.PRUNE are not written out
         L, B = four_dim_example()
         base = four_dim_candidate()
         cand = PSKCandidate(base.Sa, base.Sb, base.kappa + np.array([1e-16, 0.0, 0.0, 0.0]))

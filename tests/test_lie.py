@@ -15,7 +15,7 @@ from pskmap.catalog import (
     four_dim_example,
     random_kahler_algebra,
 )
-from pskmap.forms import PRUNE_EPS, DenseExterior, all_keys, max_abs
+from pskmap.forms import DenseExterior, all_keys, max_abs
 from pskmap.lie import (
     LieAlgebra,
     NotExactError,
@@ -24,6 +24,7 @@ from pskmap.lie import (
     jacobi_residual,
     solve_primitive,
 )
+from pskmap.tolerance import PRUNE
 
 from dict_forms import ce_differential, dense, random_form
 
@@ -187,6 +188,6 @@ def test_closed_one_forms_match_scipy_null_space():
     for L in algebras:
         D = d_matrix(L, 1)
         ref = np.eye(L.dim) if not D.any() else linalg.null_space(D, rcond=1e-12)
-        # closed_one_forms zeroes entries of size at most PRUNE_EPS
-        expect = np.where(np.abs(ref.T) > PRUNE_EPS, ref.T, 0.0)
+        # closed_one_forms zeroes entries of size at most PRUNE
+        expect = np.where(np.abs(ref.T) > PRUNE, ref.T, 0.0)
         assert np.array_equal(closed_one_forms(L), expect)

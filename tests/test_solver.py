@@ -20,7 +20,7 @@ from pskmap.catalog import (
 )
 from pskmap.connection import curvature, levi_civita
 from pskmap.intrinsic import PSKCandidate, all_residuals, rotate_tensors
-from pskmap.lie import NotExactError
+from pskmap.lie import NotExactError, PreconditionError
 from pskmap.solver import (
     CompiledResidual,
     SolveConfig,
@@ -31,6 +31,7 @@ from pskmap.solver import (
     scan_curvature,
     solve,
 )
+from pskmap.tolerance import INFEASIBILITY_FLOOR
 
 
 def _rotated_ch1_squared():
@@ -56,11 +57,11 @@ GEOMETRIES = {
 class TestConfig:
     def test_defaults_valid(self):
         cfg = SolveConfig()
-        assert cfg.starts == 64 and cfg.success_threshold < cfg.infeasibility_floor
+        assert cfg.starts == 64 and cfg.success_threshold < INFEASIBILITY_FLOOR
 
     def test_threshold_ordering_enforced(self):
-        with pytest.raises(ValueError):
-            SolveConfig(success_threshold=0.1, infeasibility_floor=0.01)
+        with pytest.raises(PreconditionError):
+            SolveConfig(success_threshold=0.1)
 
 
 class TestResidualVector:
