@@ -24,16 +24,12 @@ from .connection import (
 )
 from .intrinsic import (
     PSKCandidate,
-    SymTensor3,
     all_residuals,
     build_pq,
-    dpq_residual,
-    integrability_residual,
     make_candidate,
     rotate,
+    sym_tensor,
     torsion_residual,
-    tpq_residual,
-    wpq_residual,
 )
 from .cone import (
     ConeAlgebra,

@@ -6,7 +6,7 @@ import math
 
 import numpy as np
 
-from .intrinsic import PSKCandidate, SymTensor3
+from .intrinsic import PSKCandidate, sym_tensor
 from .lie import AdaptedBasis, LieAlgebra
 from .tolerance import FRAME_PRUNE
 
@@ -66,40 +66,36 @@ def ch1_candidate(c: float, gauge: float = 0.0) -> PSKCandidate:
     the derivative pair.
     """
     x = math.sqrt(max(0.0, (4.0 - c * c) / 2.0))
-    sa = SymTensor3.from_triples(1, [(1, 1, 1, x * math.cos(gauge))])
-    sb = SymTensor3.from_triples(1, [(1, 1, 1, -x * math.sin(gauge))])
+    sa = sym_tensor(1, [(1, 1, 1, x * math.cos(gauge))])
+    sb = sym_tensor(1, [(1, 1, 1, -x * math.sin(gauge))])
     return PSKCandidate(sa, sb, np.array([0.0, 1.0 / c]))
 
 
 def ch1_flat_candidate(c: float = 2.0) -> PSKCandidate:
     """The zero candidate (flat special cone) on CH(1)."""
-    sa = SymTensor3.zero(1)
-    sb = SymTensor3.zero(1)
-    return PSKCandidate(sa, sb, np.array([0.0, 1.0 / c]))
+    return PSKCandidate(sym_tensor(1, []), sym_tensor(1, []), np.array([0.0, 1.0 / c]))
 
 
 def four_dim_candidate() -> PSKCandidate:
     """Worked candidate on CH(1) x CH(1) with c = (sqrt(2), 2):
     q = [[a2, a1], [a1, 0]], p = [[b2, b1], [b1, 0]],
     kappa = b1/sqrt(2) + b2/2."""
-    sa = SymTensor3.from_triples(2, [(1, 1, 2, 1.0)])
-    sb = SymTensor3.zero(2)
-    return PSKCandidate(sa, sb, np.array([0.0, 0.0, 1.0 / math.sqrt(2.0), 0.5]))
+    sa = sym_tensor(2, [(1, 1, 2, 1.0)])
+    return PSKCandidate(sa, sym_tensor(2, []), np.array([0.0, 0.0, 1.0 / math.sqrt(2.0), 0.5]))
 
 
 def ch1_cubed_candidate() -> PSKCandidate:
     """Cyclic off-diagonal candidate on CH(1)^3 at c = 2:
     q_{AB} = a_C cyclically, kappa = (b1 + b2 + b3)/2."""
-    sa = SymTensor3.from_triples(3, [(1, 2, 3, 1.0)])
-    sb = SymTensor3.zero(3)
-    return PSKCandidate(sa, sb, np.array([0.0, 0.0, 0.0, 0.5, 0.5, 0.5]))
+    sa = sym_tensor(3, [(1, 2, 3, 1.0)])
+    return PSKCandidate(sa, sym_tensor(3, []), np.array([0.0, 0.0, 0.0, 0.5, 0.5, 0.5]))
 
 
 def complex_hyperbolic_candidate(n: int) -> PSKCandidate:
     """Flat-cone candidate on the CH(n) model: zero tensors, kappa = -b1/2."""
     kappa = np.zeros(2 * n)
     kappa[n] = -0.5
-    return PSKCandidate(SymTensor3.zero(n), SymTensor3.zero(n), kappa)
+    return PSKCandidate(sym_tensor(n, []), sym_tensor(n, []), kappa)
 
 
 # -- randomized Kahler inputs ----------------------------------------

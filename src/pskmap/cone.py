@@ -52,7 +52,7 @@ from .connection import ConnectionData
 from .forms import max_abs
 from .intrinsic import pq_from_tensors
 from .lie import AdaptedBasis, LieAlgebra, check_adapted
-from .tolerance import CONSTANT, EXACT, PRUNE
+from .tolerance import EXACT, PRUNE
 
 # Monomial code of t^k cos^a sin^b: (k + _K_OFFSET) << 12 | a << 2 | b.  The
 # product of two codes is their sum minus ONE: with |k| < K_LIMIT and
@@ -706,9 +706,6 @@ class TrigLaurent(CForm):
 
     def eval(self, t: float, tau: float) -> float:
         return float(self.eval_at(t, tau)[0])
-
-    def is_constant(self) -> bool:
-        return bool((np.abs(self.val[self.mono != ONE]) <= CONSTANT).all())
 
     def constant_part(self) -> float:
         return float(self.val[self.mono == ONE].sum())

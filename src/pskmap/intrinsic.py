@@ -1,8 +1,9 @@
-"""Candidate data (p, q, kappa) and residuals of the intrinsic PSK equations.
+"""Candidate data (p, q, kappa) and the evaluators of the intrinsic PSK equations.
 
 A candidate is a pair of totally symmetric 3-tensors (the a- and
 b-coefficients of the symmetric matrix of one-forms q) plus a primitive
-one-form kappa of the invariant Kahler form.  p is always J(q).
+one-form kappa of the invariant Kahler form.  p is always J(q).  Each
+tensor is a (t,) float array over sym_triples(n), t = comb(n + 2, 3).
 
 Sign convention: the derivative equations are evaluated as
 
@@ -15,13 +16,16 @@ KAPPA_TERM_SIGN and its regression test.
 
 p, q and every residual matrix are dense (n, n, comb(2n, k)) arrays on the
 kernel of forms.DenseExterior, like the connection and curvature blocks;
-kappa is a (2n,) array of one-form coefficients.
+kappa is a (2n,) array of one-form coefficients.  pq_from_tensors and the
+evaluators of the derivative and integrability pairs broadcast over leading
+axes, so the solver's compile applies them to a stack of basis tensors.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import combinations_with_replacement, product
 
 import numpy as np
@@ -41,66 +45,57 @@ def sym_triples(n: int):
     return list(combinations_with_replacement(range(1, n + 1), 3))
 
 
-class SymTensor3:
-    """Totally symmetric 3-tensor stored on sorted index triples."""
+@lru_cache(maxsize=None)
+def _triple_index(t: int) -> np.ndarray:
+    """(n, n, n) array: position in sym_triples(n) of the sorted (i, j, k),
+    for the n with t = comb(n + 2, 3) triples."""
+    n = 0
+    while math.comb(n + 2, 3) < t:
+        n += 1
+    if math.comb(n + 2, 3) != t:
+        raise PreconditionError(f"{t} is not the number of sorted index triples of any n")
+    index = {tr: u for u, tr in enumerate(sym_triples(n))}
+    out = np.array([index[tuple(sorted(ijk))] for ijk in product(range(1, n + 1), repeat=3)],
+                   dtype=np.intp).reshape(n, n, n)
+    out.flags.writeable = False
+    return out
 
-    __slots__ = ("n", "data")
 
-    def __init__(self, n: int, data=None):
-        self.n = n
-        clean = {}
-        for key, val in (data or {}).items():
-            key = tuple(sorted(key))
-            if len(key) != 3 or not all(1 <= i <= n for i in key):
-                raise ValueError(f"bad triple {key}")
-            if val:
-                clean[key] = float(val)
-        self.data = clean
-
-    @classmethod
-    def zero(cls, n: int) -> "SymTensor3":
-        return cls(n, {})
-
-    @classmethod
-    def from_triples(cls, n: int, entries) -> "SymTensor3":
-        return cls(n, {(i, j, k): v for (i, j, k, v) in entries})
-
-    @classmethod
-    def from_vector(cls, n: int, vec) -> "SymTensor3":
-        return cls(n, dict(zip(sym_triples(n), vec)))
-
-    def get(self, i: int, j: int, k: int) -> float:
-        return self.data.get(tuple(sorted((i, j, k))), 0.0)
-
-    def to_vector(self) -> np.ndarray:
-        return np.array([self.data.get(t, 0.0) for t in sym_triples(self.n)])
-
-    def norm_inf(self) -> float:
-        return max((abs(v) for v in self.data.values()), default=0.0)
-
-    def __repr__(self) -> str:
-        return f"SymTensor3(n={self.n}, {self.data})"
+def sym_tensor(n: int, entries) -> np.ndarray:
+    """Coefficient array over sym_triples(n) from (i, j, k, value) rows,
+    each index in 1..n and in any order."""
+    out = np.zeros(math.comb(n + 2, 3))
+    index = _triple_index(len(out))
+    for i, j, k, val in entries:
+        if not all(1 <= x <= n for x in (i, j, k)):
+            raise PreconditionError(f"bad triple {(i, j, k)}")
+        out[index[i - 1, j - 1, k - 1]] = val
+    return out
 
 
 @dataclass(frozen=True, eq=False)
 class PSKCandidate:
-    """(Sa, Sb) coefficients of q plus the primitive one-form kappa, a (2n,)
-    array over a^1..a^n, b^1..b^n; the candidate keeps a read-only copy."""
+    """(Sa, Sb) coefficients of q, each a (t,) array over sym_triples(n),
+    plus the primitive one-form kappa, a (2n,) array over a^1..a^n,
+    b^1..b^n; the candidate keeps read-only copies."""
 
-    Sa: SymTensor3
-    Sb: SymTensor3
+    Sa: np.ndarray
+    Sb: np.ndarray
     kappa: np.ndarray
 
     def __post_init__(self):
-        kappa = np.array(self.kappa, dtype=float)
-        if kappa.shape != (2 * self.n,):
-            raise PreconditionError(f"kappa must have shape ({2 * self.n},), got {kappa.shape}")
-        kappa.flags.writeable = False
-        object.__setattr__(self, "kappa", kappa)
+        Sa, Sb, kappa = (np.array(x, dtype=float) for x in (self.Sa, self.Sb, self.kappa))
+        n = len(_triple_index(Sa.size))
+        for name, arr, shape in (("Sa", Sa, (Sa.size,)), ("Sb", Sb, (Sa.size,)),
+                                 ("kappa", kappa, (2 * n,))):
+            if arr.shape != shape:
+                raise PreconditionError(f"{name} must have shape {shape}, got {arr.shape}")
+            arr.flags.writeable = False
+            object.__setattr__(self, name, arr)
 
     @property
     def n(self) -> int:
-        return self.Sa.n
+        return len(self.kappa) // 2
 
     def validate(self, L: LieAlgebra) -> None:
         """Check d(kappa) = omega_S against the supplied algebra."""
@@ -109,7 +104,7 @@ class PSKCandidate:
             raise PreconditionError(f"kappa is not a primitive of omega_S (residual {res:.3e})")
 
 
-def make_candidate(L: LieAlgebra, B: AdaptedBasis, Sa: SymTensor3, Sb: SymTensor3,
+def make_candidate(L: LieAlgebra, B: AdaptedBasis, Sa: np.ndarray, Sb: np.ndarray,
                    kappa: np.ndarray) -> PSKCandidate:
     cand = PSKCandidate(Sa, Sb, kappa)
     cand.validate(L)
@@ -123,21 +118,19 @@ def j_action(q: np.ndarray) -> np.ndarray:
     return np.concatenate([-q[..., n:], q[..., :n]], axis=-1)
 
 
-def pq_from_tensors(Sa: SymTensor3, Sb: SymTensor3):
-    """Symmetric (n, n, 2n) arrays of one-forms: q^i_j = sum_k Sa[ijk] a^k + Sb[ijk] b^k
-    and p = J(q) entrywise."""
-    n = Sa.n
-    q = np.zeros((n, n, 2 * n))
-    for i, j, k in product(range(1, n + 1), repeat=3):
-        q[i - 1, j - 1, k - 1] = Sa.get(i, j, k)
-        q[i - 1, j - 1, n + k - 1] = Sb.get(i, j, k)
+def pq_from_tensors(Sa: np.ndarray, Sb: np.ndarray):
+    """Symmetric (..., n, n, 2n) arrays of one-forms from (..., t) coefficient
+    arrays over leading axes: q^i_j = sum_k Sa[ijk] a^k + Sb[ijk] b^k and
+    p = J(q) entrywise."""
+    index = _triple_index(Sa.shape[-1])
+    q = np.concatenate([Sa[..., index], Sb[..., index]], axis=-1)
     return j_action(q), q
 
 
 def build_pq(cand: PSKCandidate):
     """Candidate -> (p, q); torsion vanishes by total symmetry and is asserted."""
     p, q = pq_from_tensors(cand.Sa, cand.Sb)
-    scale = 1.0 + max(cand.Sa.norm_inf(), cand.Sb.norm_inf())
+    scale = 1.0 + max(max_abs(cand.Sa), max_abs(cand.Sb))
     res = torsion_residual(p, q)
     if res > TORSION * scale:
         raise AssertionError(f"total symmetry should kill torsion, residual {res:.3e}")
@@ -154,50 +147,42 @@ def torsion_residual(p: np.ndarray, q: np.ndarray) -> float:
     return max(max_abs(wm(p, a) + wm(q, b)), max_abs(wm(p, b) - wm(q, a)))
 
 
-def tpq_residual(K: CurvatureData, p: np.ndarray, q: np.ndarray) -> float:
-    """Deviation of M + p^p + q^q from the CH(n) model block."""
-    return max_abs(tpq_matrix(K, p, q))
-
-
 def tpq_matrix(K: CurvatureData, p: np.ndarray, q: np.ndarray) -> np.ndarray:
+    """Deviation of M + p^p + q^q from the CH(n) model block."""
     ext = DenseExterior(2 * K.n)
     wm = lambda X, Y: ext.wedge_matrix(X, Y, 1, 1)
     return K.M + wm(p, p) + wm(q, q) - ch_model(K.n).M
 
 
-def wpq_residual(K: CurvatureData, p: np.ndarray, q: np.ndarray) -> float:
-    """Deviation of Lam + p^q - q^p from the CH(n) model block."""
-    return max_abs(wpq_matrix(K, p, q))
-
-
 def wpq_matrix(K: CurvatureData, p: np.ndarray, q: np.ndarray) -> np.ndarray:
+    """Deviation of Lam + p^q - q^p from the CH(n) model block."""
     ext = DenseExterior(2 * K.n)
     wm = lambda X, Y: ext.wedge_matrix(X, Y, 1, 1)
     return K.Lam + wm(p, q) - wm(q, p) - ch_model(K.n).Lam
 
 
+def kappa_terms(kappa: np.ndarray, p: np.ndarray, q: np.ndarray):
+    """The kappa terms (4 kappa^q, -4 kappa^p) of the derivative pair."""
+    ext = DenseExterior(kappa.shape[-1])
+    s4 = 4.0 * KAPPA_TERM_SIGN
+    return s4 * ext.wedge(kappa, q, 1, 1), -s4 * ext.wedge(kappa, p, 1, 1)
+
+
 def dpq_matrices(p: np.ndarray, q: np.ndarray, kappa: np.ndarray, C: ConnectionData,
                  L: LieAlgebra):
+    """Left-hand sides of the derivative pair for (p, q, kappa)."""
     ext = DenseExterior(L.dim)
     D = d_matrix(L, 1)
     mu, lam = C.mu, C.lam
     wm = lambda X, Y: ext.wedge_matrix(X, Y, 1, 1)
-    s4 = 4.0 * KAPPA_TERM_SIGN
-    rp = (p @ D.T + wm(mu, p) + wm(p, mu) + wm(lam, q) - wm(q, lam)
-          + s4 * ext.wedge(kappa, q, 1, 1))
-    rq = (q @ D.T + wm(mu, q) + wm(q, mu) - wm(lam, p) + wm(p, lam)
-          - s4 * ext.wedge(kappa, p, 1, 1))
+    kp, kq = kappa_terms(kappa, p, q)
+    rp = p @ D.T + wm(mu, p) + wm(p, mu) + wm(lam, q) - wm(q, lam) + kp
+    rq = q @ D.T + wm(mu, q) + wm(q, mu) - wm(lam, p) + wm(p, lam) + kq
     return rp, rq
 
 
-def dpq_residual(p: np.ndarray, q: np.ndarray, kappa: np.ndarray, C: ConnectionData,
-                 L: LieAlgebra) -> float:
-    """Max norm of the two derivative equations for (p, q)."""
-    rp, rq = dpq_matrices(p, q, kappa, C, L)
-    return max(max_abs(rp), max_abs(rq))
-
-
 def integrability_matrices(K: CurvatureData, p: np.ndarray, q: np.ndarray):
+    """Left-hand sides of the kappa-free integrability pair (three-forms)."""
     ext = DenseExterior(2 * K.n)
     omega_s = ext.kahler()
     M, Lam = K.M, K.Lam
@@ -210,29 +195,11 @@ def integrability_matrices(K: CurvatureData, p: np.ndarray, q: np.ndarray):
     return r1, r2
 
 
-def integrability_residual(K: CurvatureData, p: np.ndarray, q: np.ndarray) -> float:
-    """Max norm of the kappa-free integrability pair (three-form equations)."""
-    r1, r2 = integrability_matrices(K, p, q)
-    return max(max_abs(r1), max_abs(r2))
-
-
 def rotate(p: np.ndarray, q: np.ndarray, s: float):
-    """Gauge rotation R_s(p, q) = (p cos s + q sin s, -p sin s + q cos s)."""
+    """Gauge rotation R_s(p, q) = (p cos s + q sin s, -p sin s + q cos s); on
+    (Sa, Sb) it is the action on the coefficient tensors of q."""
     c, sn = math.cos(s), math.sin(s)
     return (p * c + q * sn, q * c - p * sn)
-
-
-def rotate_tensors(Sa: SymTensor3, Sb: SymTensor3, s: float):
-    """Action of the gauge rotation on the coefficient tensors of q."""
-    c, sn = math.cos(s), math.sin(s)
-    n = Sa.n
-    keys = set(Sa.data) | set(Sb.data)
-    na, nb = {}, {}
-    for key in keys:
-        va, vb = Sa.data.get(key, 0.0), Sb.data.get(key, 0.0)
-        na[key] = va * c + vb * sn
-        nb[key] = vb * c - va * sn
-    return SymTensor3(n, na), SymTensor3(n, nb)
 
 
 def all_residuals(L: LieAlgebra, B: AdaptedBasis, cand: PSKCandidate,
@@ -249,9 +216,9 @@ def all_residuals(L: LieAlgebra, B: AdaptedBasis, cand: PSKCandidate,
     r1, r2 = integrability_matrices(K, p, q)
     return {
         "torsion": torsion_residual(p, q),
-        "t_pq": tpq_residual(K, p, q),
-        "w_pq": wpq_residual(K, p, q),
-        "dpq": dpq_residual(p, q, cand.kappa, C, L),
+        "t_pq": max_abs(tpq_matrix(K, p, q)),
+        "w_pq": max_abs(wpq_matrix(K, p, q)),
+        "dpq": max(map(max_abs, dpq_matrices(p, q, cand.kappa, C, L))),
         "integrability_1": max_abs(r1),
         "integrability_2": max_abs(r2),
     }

@@ -35,7 +35,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .intrinsic import PSKCandidate, SymTensor3
+from .intrinsic import PSKCandidate, sym_tensor, sym_triples
 from .lie import AdaptedBasis, LieAlgebra
 from .tolerance import PRUNE
 
@@ -130,7 +130,7 @@ def parse_algebra(obj: dict, allow_parameter: bool = False) -> AlgebraFile:
 def _parse_candidate(obj: dict, n: int) -> PSKCandidate:
     _check(isinstance(obj, dict), "'candidate' must be an object")
 
-    def tensor(name: str) -> SymTensor3:
+    def tensor(name: str) -> np.ndarray:
         data = {}
         for row in _rows(obj, name, 4, "[i, j, k, value]"):
             i, j, k, v = row
@@ -140,7 +140,7 @@ def _parse_candidate(obj: dict, n: int) -> PSKCandidate:
                    f"{name} triple {row!r} must be sorted and within 1..{n}")
             _check((i, j, k) not in data, f"duplicate {name} triple ({i}, {j}, {k})")
             data[i, j, k] = _number(v, f"{name} value")
-        return SymTensor3(n, data)
+        return sym_tensor(n, [(*key, v) for key, v in data.items()])
 
     kappa, seen = np.zeros(2 * n), set()
     for idx, v in _rows(obj, "kappa", 2, "[index, value]"):
@@ -199,8 +199,8 @@ def algebra_to_dict(L: LieAlgebra, B: AdaptedBasis, labels=None,
         out["labels"] = list(labels)
     if candidate is not None:
         out["candidate"] = {
-            "Sa": [[i, j, k, v] for (i, j, k), v in sorted(candidate.Sa.data.items())],
-            "Sb": [[i, j, k, v] for (i, j, k), v in sorted(candidate.Sb.data.items())],
+            "Sa": [[*tr, float(v)] for tr, v in zip(sym_triples(B.n), candidate.Sa) if v],
+            "Sb": [[*tr, float(v)] for tr, v in zip(sym_triples(B.n), candidate.Sb) if v],
             "kappa": [[i + 1, float(v)] for i, v in enumerate(candidate.kappa)
                       if abs(v) > PRUNE],
         }

@@ -1,16 +1,15 @@
 """Numerical discovery of PSK candidates by damped least squares.
 
-The unknowns are the two symmetric-tensor coefficient blocks of q plus
+The unknowns are the two symmetric-tensor coefficient arrays of q plus
 the free coefficients of kappa along the closed one-forms.  Every
 residual entry is a polynomial of degree <= 2 in the unknowns, so the
 whole stacked system is compiled once into (constant, linear, quadratic)
-numpy data (r0, A, Q).  The compile reads these blocks off the bilinear
-structure of the equations on the dense exterior-algebra kernel of
-forms.py, where the connection, the curvature and the residual equations
-already live.  residual_vector, the reference it is tested against,
-evaluates the equations directly at one point (x -> p, q -> wedges),
-without the compile's per-unknown basis.  Q is held as COO triplets,
-and evaluation and the exact Jacobian take one np.bincount over them.
+numpy data (r0, A, Q).  The compile applies the evaluators of
+intrinsic.py to the stack of basis tensors, one per unknown (see
+CompiledResidual); residual_vector, the reference it is tested against,
+evaluates them at one point (x -> p, q -> wedges).  Q is held as COO
+triplets, and evaluation and the exact Jacobian take one np.bincount over
+them.
 
 When the invariant Kahler form has no invariant primitive the
 kappa-dependent equations cannot be posed; geometries built with
@@ -22,23 +21,21 @@ and enough to falsify candidates families.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import product
 from math import comb
 
 import numpy as np
 
-from .connection import ConnectionData, CurvatureData, ch_model, curvature, levi_civita
+from .connection import ConnectionData, CurvatureData, curvature, levi_civita
 from .forms import DenseExterior, max_abs
 from .intrinsic import (
-    KAPPA_TERM_SIGN,
     PSKCandidate,
-    SymTensor3,
     dpq_matrices,
     integrability_matrices,
-    j_action,
+    kappa_terms,
     pq_from_tensors,
-    rotate_tensors,
+    rotate,
     sym_triples,
     tpq_matrix,
     wpq_matrix,
@@ -48,7 +45,6 @@ from .lie import (
     LieAlgebra,
     NotExactError,
     PreconditionError,
-    d_matrix,
     solve_primitive,
 )
 from .tolerance import (
@@ -101,7 +97,6 @@ class Geometry:
     kappa0: np.ndarray | None
     kernel: np.ndarray
     exact: bool
-    _compiled: object = field(default=None, repr=False)
 
     @property
     def n(self) -> int:
@@ -118,14 +113,12 @@ class Geometry:
 
     def unpack(self, x: np.ndarray):
         t = self.n_tensor
-        Sa = SymTensor3.from_vector(self.n, x[:t])
-        Sb = SymTensor3.from_vector(self.n, x[t:2 * t])
         kappa = self.kappa0 + x[2 * t:] @ self.kernel if self.exact else None
-        return Sa, Sb, kappa
+        return x[:t], x[t:2 * t], kappa
 
     def pack(self, cand: PSKCandidate) -> np.ndarray:
         """Inverse of unpack; projects the candidate's kappa on the kernel."""
-        vec = [cand.Sa.to_vector(), cand.Sb.to_vector()]
+        vec = [cand.Sa, cand.Sb]
         if self.exact:
             diff = cand.kappa - self.kappa0
             coeffs, *_ = np.linalg.lstsq(self.kernel.T, diff, rcond=None)
@@ -173,39 +166,29 @@ def residual_vector(cand_or_x, geom: Geometry) -> np.ndarray:
     return np.concatenate([mat.ravel() for mat in mats])
 
 
-def _q_basis(n: int) -> np.ndarray:
-    """q_u for every tensor unknown u, as a (2t, n, n, 2n) one-form array:
-    u < t is the Sa entry on triple u, u >= t the Sb entry on triple u - t."""
-    index = {tr: u for u, tr in enumerate(sym_triples(n))}
-    t = len(index)
-    qs = np.zeros((2 * t, n, n, 2 * n))
-    for i, j, k in product(range(n), repeat=3):
-        u = index[tuple(sorted((i + 1, j + 1, k + 1)))]
-        qs[u, i, j, k] = 1.0
-        qs[t + u, i, j, n + k] = 1.0
-    return qs
-
-
 class CompiledResidual:
     """r(x) = r0 + A x + x.Q.x with Q symmetric in its last two axes.
 
-    Built from the structure of the equations rather than by sampling
-    them: q and p = J q are linear in the 2t tensor unknowns through the
-    basis arrays q_u and p_u, and kappa is affine in the kernel
-    coefficients, so every block of (r0, A, Q) is a wedge of fixed data
-    with q_u, p_u or each other on the dense kernel of forms.py.  The row
-    order is that of residual_vector.  Q is over 99% zeros, so Q[r, i, j] = v
-    is held as the triplet (q_rows, q_cols, q_vals) = (r * d + i, j, v), with
-    (i, j) and (j, i) both kept.  One np.bincount gives Qx = Q x as (R, d):
-    r = r0 + (A + Qx) x and the Jacobian is A + 2 Qx = A + Q(2x).
+    Built from the equations rather than by sampling them: q and p = J q
+    are linear in the 2t tensor unknowns through the basis stack (p_u, q_u),
+    pq_from_tensors of the identity, and kappa is affine in the kernel
+    coefficients.  r0 is the evaluators at p = q = 0; the linear blocks of A
+    are the evaluators dpq_matrices (at kappa0) or integrability_matrices
+    applied to the basis stack, and the kappa cross terms kappa_terms of the
+    kernel rows with it; the curvature pair, quadratic, is wedged pairwise
+    from the stack.  The row order is that of residual_vector.  Q is over 99% zeros,
+    so Q[r, i, j] = v is held as the triplet (q_rows, q_cols, q_vals) =
+    (r * d + i, j, v), with (i, j) and (j, i) both kept.  One np.bincount
+    gives Qx = Q x as (R, d): r = r0 + (A + Qx) x and the Jacobian is
+    A + 2 Qx = A + Q(2x).
     """
 
     def __init__(self, geom: Geometry):
         n, m, t = geom.n, geom.L.dim, geom.n_tensor
         T, d = 2 * t, geom.n_unknowns
         ext = DenseExterior(m)
-        qs = _q_basis(n)
-        ps = j_action(qs)
+        basis = np.eye(T)
+        ps, qs = pq_from_tensors(basis[:, :t], basis[:, t:])
         c2 = comb(m, 2)
         block = n * n * c2
         second = n * n * comb(m, 2 if geom.exact else 3)
@@ -216,10 +199,18 @@ class CompiledResidual:
         def add(rows, i, j, vals):
             triplets.append((rows * d + i, j, vals))
 
-        # Curvature pair: M + p^p + q^q = M_CH and Lam + p^q - q^p = Lam_CH.
-        model = ch_model(n)
-        r0[:block] = (geom.curv.M - model.M).ravel()
-        r0[block:2 * block] = (geom.curv.Lam - model.Lam).ravel()
+        # Second pair: its block of A is the evaluators applied to the basis
+        # stack, built first, while no triplet is held, to keep the peak low.
+        lins = (dpq_matrices(ps, qs, geom.kappa0, geom.conn, geom.L) if geom.exact
+                else integrability_matrices(geom.curv, ps, qs))
+        A[2 * block:, :T] = np.concatenate([lin.reshape(T, -1) for lin in lins], axis=1).T
+        del lins
+
+        # Curvature pair: M + p^p + q^q = M_CH and Lam + p^q - q^p = Lam_CH,
+        # with r0 the evaluators at p = q = 0.
+        zero = np.zeros((n, n, m))
+        r0[:block] = tpq_matrix(geom.curv, zero, zero).ravel()
+        r0[block:2 * block] = wpq_matrix(geom.curv, zero, zero).ravel()
 
         def add_symmetrised(start, X1, Y1, X2, Y2, sign):
             prod = (ext.pair_wedge_matrix(X1, Y1, 1, 1)
@@ -236,35 +227,17 @@ class CompiledResidual:
             add_symmetrised(entry, p_i, p_j, q_i, q_j, 1.0)
             add_symmetrised(block + entry, p_i, q_j, q_i, p_j, -1.0)
 
-        # Second pair, linear in (p, q); the q-equation is the p-equation
-        # with (p, q) -> (q, -p).
-        rows = [slice(2 * block, 2 * block + second), slice(2 * block + second, R)]
         if geom.exact:
-            D = d_matrix(geom.L, 1)
-            mu, lam = geom.conn.mu, geom.conn.lam
-            kappa0 = geom.kappa0
+            # Second pair, kappa cross terms: 4 kappa_l ^ q_u (or -4 kappa_l ^ p_u),
+            # split evenly between Q[:, u, T + l] and Q[:, T + l, u]
             ks = geom.kernel.reshape(-1, 1, 1, 1, m)
-            wm = lambda X, Y: ext.wedge_matrix(X, Y, 1, 1)
-            for rs, (p_, q_) in zip(rows, ((ps, qs), (qs, -ps))):
-                # dp + mu^p + p^mu + lam^q - q^lam + 4 kappa^q
-                lin = (p_ @ D.T + wm(mu, p_) + wm(p_, mu) + wm(lam, q_) - wm(q_, lam)
-                       + 4.0 * KAPPA_TERM_SIGN * ext.wedge(kappa0, q_, 1, 1))
-                A[rs, :T] = lin.reshape(T, -1).T
-                # 4 kappa_l ^ q_u, split evenly between Q[:, u, l] and Q[:, l, u]
-                cross = (2.0 * KAPPA_TERM_SIGN * ext.wedge(ks, q_, 1, 1)).reshape(
-                    len(geom.kernel), T, second)
-                l, u, row = np.nonzero(cross)
-                add(rs.start + row, u, T + l, cross[l, u, row])
-                add(rs.start + row, T + l, u, cross[l, u, row])
-        else:
-            M, Lam = geom.curv.M, geom.curv.Lam
-            omega = ext.kahler()
-            for rs, (p_, q_) in zip(rows, ((ps, qs), (qs, -ps))):
-                # M^p - p^M + Lam^q + q^Lam + 4 omega^q
-                lin = (ext.wedge_matrix(M, p_, 2, 1) - ext.wedge_matrix(p_, M, 1, 2)
-                       + ext.wedge_matrix(Lam, q_, 2, 1) + ext.wedge_matrix(q_, Lam, 1, 2)
-                       + 4.0 * ext.wedge(omega, q_, 2, 1))
-                A[rs, :T] = lin.reshape(T, -1).T
+            for h, term in enumerate(kappa_terms(ks, ps, qs)):
+                term = term.reshape(len(geom.kernel), T, second)
+                l, u, row = np.nonzero(term)
+                half = 0.5 * term[l, u, row]
+                rows = 2 * block + h * second + row
+                add(rows, u, T + l, half)
+                add(rows, T + l, u, half)
         self.r0, self.A = r0, A
         self.q_rows, self.q_cols, self.q_vals = (np.concatenate(a) for a in zip(*triplets))
 
@@ -281,12 +254,6 @@ class CompiledResidual:
 
     def jacobian(self, x: np.ndarray) -> np.ndarray:
         return self._A_plus_Qx(2.0 * x)
-
-
-def compiled(geom: Geometry) -> CompiledResidual:
-    if geom._compiled is None:
-        geom._compiled = CompiledResidual(geom)
-    return geom._compiled
 
 
 # -- damped least squares ---------------------------------------------
@@ -340,24 +307,23 @@ class SolveResult:
     distinct_orbits: int
 
 
-def _gauge_angle(Sa: SymTensor3, Sb: SymTensor3):
+def _gauge_angle(Sa: np.ndarray, Sb: np.ndarray):
     """Rotation making the dominant tensor entry land entirely in Sa, >= 0."""
-    va, vb = Sa.to_vector(), Sb.to_vector()
-    mags = va ** 2 + vb ** 2
+    mags = Sa ** 2 + Sb ** 2
     if mags.max() < GAUGE_PRUNE:
         return 0.0, 0
     lead = int(np.argmax(mags))
-    return math.atan2(vb[lead], va[lead]), lead
+    return math.atan2(Sb[lead], Sa[lead]), lead
 
 
-def _per_equation(geom: Geometry, Sa, Sb, kappa) -> dict:
-    p, q = pq_from_tensors(Sa, Sb)
+def _per_equation(geom: Geometry, cand: PSKCandidate) -> dict:
+    p, q = pq_from_tensors(cand.Sa, cand.Sb)
     out = {
         "t_pq": max_abs(tpq_matrix(geom.curv, p, q)),
         "w_pq": max_abs(wpq_matrix(geom.curv, p, q)),
     }
     if geom.exact:
-        rp, rq = dpq_matrices(p, q, kappa, geom.conn, geom.L)
+        rp, rq = dpq_matrices(p, q, cand.kappa, geom.conn, geom.L)
         out["d_p"] = max_abs(rp)
         out["d_q"] = max_abs(rq)
     r1, r2 = integrability_matrices(geom.curv, p, q)
@@ -372,7 +338,7 @@ def solve(geom: Geometry, cfg: SolveConfig = SolveConfig()) -> SolveResult:
     The rotation gauge is left free during optimization (it only creates
     a flat direction) and normalized after the fact.
     """
-    fun = compiled(geom)
+    fun = CompiledResidual(geom)
     d = geom.n_unknowns
     finals = []
     best = None
@@ -388,8 +354,7 @@ def solve(geom: Geometry, cfg: SolveConfig = SolveConfig()) -> SolveResult:
     solved = [f for f in finals if f[0] < cfg.success_threshold]
     orbits: list = []
     for res, s, x in sorted(solved, key=lambda f: (f[0], f[1])):
-        Sa, Sb, kappa = geom.unpack(x)
-        canda = _normalized_candidate(geom, Sa, Sb, kappa)[0]
+        canda = _normalized_candidate(geom, x)[0]
         if not any(_orbit_distance_tensors(canda, other) < DISTINCT for other in orbits):
             orbits.append(canda)
 
@@ -400,9 +365,8 @@ def solve(geom: Geometry, cfg: SolveConfig = SolveConfig()) -> SolveResult:
     else:
         status = "Inconclusive"
 
-    Sa, Sb, kappa = geom.unpack(best_x)
-    cand, note = _normalized_candidate(geom, Sa, Sb, kappa)
-    per_eq = _per_equation(geom, cand.Sa, cand.Sb, cand.kappa if geom.exact else None)
+    cand, note = _normalized_candidate(geom, best_x)
+    per_eq = _per_equation(geom, cand)
     return SolveResult(
         status=status,
         best_residual=best_res,
@@ -415,9 +379,10 @@ def solve(geom: Geometry, cfg: SolveConfig = SolveConfig()) -> SolveResult:
     )
 
 
-def _normalized_candidate(geom: Geometry, Sa, Sb, kappa):
+def _normalized_candidate(geom: Geometry, x: np.ndarray):
+    Sa, Sb, kappa = geom.unpack(x)
     angle, lead = _gauge_angle(Sa, Sb)
-    Sa_n, Sb_n = rotate_tensors(Sa, Sb, angle)
+    Sa_n, Sb_n = rotate(Sa, Sb, angle)
     note = f"rotated by s={angle:.12g} so entry {lead} of Sa is nonnegative"
     if kappa is None:
         kappa = np.zeros(geom.L.dim)
@@ -425,8 +390,7 @@ def _normalized_candidate(geom: Geometry, Sa, Sb, kappa):
 
 
 def _orbit_distance_tensors(c1: PSKCandidate, c2: PSKCandidate) -> float:
-    va1, vb1 = c1.Sa.to_vector(), c1.Sb.to_vector()
-    va2, vb2 = c2.Sa.to_vector(), c2.Sb.to_vector()
+    va1, vb1, va2, vb2 = c1.Sa, c1.Sb, c2.Sa, c2.Sb
     n1 = va1 @ va1 + vb1 @ vb1
     n2 = va2 @ va2 + vb2 @ vb2
     alpha = va1 @ va2 + vb1 @ vb2

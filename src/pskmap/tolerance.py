@@ -32,8 +32,6 @@ EXACT = 1e-9
 KOSZUL = 1e-10
 # Torsion of (p, q), which total symmetry of the tensors kills.
 TORSION = 1e-12
-# Non-constant terms of a TrigLaurent that still count as constant.
-CONSTANT = 1e-12
 # Singular values of d on one-forms below NULL_RCOND * (largest) are zero.
 NULL_RCOND = 1e-12
 # Least-squares residual of the sp(1) fit of the c-map output.

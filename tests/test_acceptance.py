@@ -32,19 +32,19 @@ from pskmap.connection import (
 from pskmap.forms import DenseExterior, max_abs
 from pskmap.intrinsic import (
     PSKCandidate,
-    SymTensor3,
     all_residuals,
     pq_from_tensors,
-    rotate_tensors,
-    tpq_residual,
-    wpq_residual,
+    rotate,
+    sym_tensor,
+    tpq_matrix,
+    wpq_matrix,
 )
 from pskmap.lie import d_matrix, solve_primitive
 from pskmap.solver import (
+    CompiledResidual,
     SolveConfig,
     build_geometry,
     certify_gauge_orbit,
-    compiled,
     residual_vector,
     scan_curvature,
     solve,
@@ -107,7 +107,7 @@ def test_criterion_3_ch1_feasibility_scan():
     geom = build_geometry(*ch1(c_star))
     res = solve(geom, SolveConfig(starts=32, seed=11))
     assert res.status == "Solved"
-    x = res.candidate.Sa.get(1, 1, 1)
+    x = res.candidate.Sa[0]  # the (1, 1, 1) entry
     assert abs(abs(x) - C_SPECIAL) < 1e-6
     elapsed = time.monotonic() - start
     assert elapsed < 30.0
@@ -164,9 +164,9 @@ def test_criterion_6_oracle_equivalence():
         kappa, kernel = solve_primitive(L, DenseExterior(2 * n).kahler())
         for k in kernel:
             kappa = kappa + float(rng.uniform(-1, 1)) * k
-        size = len(SymTensor3.zero(n).to_vector())
-        sa = SymTensor3.from_vector(n, rng.uniform(-1.2, 1.2, size))
-        sb = SymTensor3.from_vector(n, rng.uniform(-1.2, 1.2, size))
+        size = len(sym_tensor(n, []))
+        sa = rng.uniform(-1.2, 1.2, size)
+        sb = rng.uniform(-1.2, 1.2, size)
         return PSKCandidate(sa, sb, kappa)
 
     cases = []
@@ -176,15 +176,15 @@ def test_criterion_6_oracle_equivalence():
         cases.append((L1, B1, random_candidate(L1, B1)))
     L2, B2 = ch1(C_SPECIAL)
     for k in range(5):
-        sa, sb = rotate_tensors(ch1_candidate(C_SPECIAL).Sa,
-                                ch1_candidate(C_SPECIAL).Sb, 0.6 * k)
+        sa, sb = rotate(ch1_candidate(C_SPECIAL).Sa,
+                        ch1_candidate(C_SPECIAL).Sb, 0.6 * k)
         cases.append((L2, B2, PSKCandidate(sa, sb, ch1_candidate(C_SPECIAL).kappa)))
     for _ in range(5):
         cases.append((L2, B2, random_candidate(L2, B2)))
     L3, B3 = four_dim_example()
     base = four_dim_candidate()
     for k in range(5):
-        sa, sb = rotate_tensors(base.Sa, base.Sb, 0.45 * k)
+        sa, sb = rotate(base.Sa, base.Sb, 0.45 * k)
         cases.append((L3, B3, PSKCandidate(sa, sb, base.kappa)))
     for _ in range(5):
         cases.append((L3, B3, random_candidate(L3, B3)))
@@ -279,7 +279,7 @@ class TestCriterion8PropertySuites:
     def test_jacobian_vs_finite_differences(self, rng):
         L, B = four_dim_example()
         geom = build_geometry(L, B)
-        fun = compiled(geom)
+        fun = CompiledResidual(geom)
         h = 1e-6
         count = 0
         for _ in range(100):
@@ -304,17 +304,17 @@ class TestCriterion8PropertySuites:
         for _ in range(100):
             x = rng.uniform(-1, 1, geom.n_unknowns)
             s = float(rng.uniform(0, 2 * math.pi))
-            Sa = SymTensor3.from_vector(2, x[:t])
-            Sb = SymTensor3.from_vector(2, x[t:2 * t])
-            Ra, Rb = rotate_tensors(Sa, Sb, s)
-            xr = np.concatenate([Ra.to_vector(), Rb.to_vector(), x[2 * t:]])
+            Sa = x[:t]
+            Sb = x[t:2 * t]
+            Ra, Rb = rotate(Sa, Sb, s)
+            xr = np.concatenate([Ra, Rb, x[2 * t:]])
             n0 = np.linalg.norm(residual_vector(x, geom))
             n1 = np.linalg.norm(residual_vector(xr, geom))
             assert abs(n0 - n1) < 1e-9 * (1.0 + n0)
             p0, q0 = pq_from_tensors(Sa, Sb)
             p1, q1 = pq_from_tensors(Ra, Rb)
-            assert abs(tpq_residual(K, p0, q0) - tpq_residual(K, p1, q1)) < 1e-9
-            assert abs(wpq_residual(K, p0, q0) - wpq_residual(K, p1, q1)) < 1e-9
+            assert abs(max_abs(tpq_matrix(K, p0, q0)) - max_abs(tpq_matrix(K, p1, q1))) < 1e-9
+            assert abs(max_abs(wpq_matrix(K, p0, q0)) - max_abs(wpq_matrix(K, p1, q1))) < 1e-9
             count += 1
         assert count == 100
         _report("8e", "residual norm invariant under random gauge rotations, 100 cases")
@@ -325,8 +325,8 @@ class TestCriterion8PropertySuites:
         CA = cone_coframe(L, B, four_dim_candidate().kappa)
         count = 0
         for _ in range(100):
-            sa = SymTensor3.from_vector(2, rng.uniform(-1, 1, 4))
-            sb = SymTensor3.from_vector(2, rng.uniform(-1, 1, 4))
+            sa = rng.uniform(-1, 1, 4)
+            sb = rng.uniform(-1, 1, 4)
             p, q = pq_from_tensors(sa, sb)
             T, U, V, W = special_blocks(special_cone(CA, conn, p, q))
             assert T.nonconstant_norm() < 1e-12

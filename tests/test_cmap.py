@@ -27,7 +27,7 @@ from pskmap.cmap import (
 )
 from pskmap.cone import CForm, TrigLaurent
 from pskmap.connection import levi_civita
-from pskmap.intrinsic import PSKCandidate, rotate_tensors
+from pskmap.intrinsic import PSKCandidate, rotate
 from pskmap.lie import LieAlgebra, adjoint_matrix, jacobi_residual
 
 
@@ -142,7 +142,7 @@ class TestQKAlgebra:
     def test_gauge_independent_invariants(self):
         L, B = four_dim_example()
         cand = four_dim_candidate()
-        sa, sb = rotate_tensors(cand.Sa, cand.Sb, 0.73)
+        sa, sb = rotate(cand.Sa, cand.Sb, 0.73)
         rep0 = qk_verify(qk_algebra(L, B, cand))
         rep1 = qk_verify(qk_algebra(L, B, PSKCandidate(sa, sb, cand.kappa)))
         assert rep0.derived_series == rep1.derived_series

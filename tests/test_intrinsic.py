@@ -21,21 +21,21 @@ from pskmap.connection import curvature, levi_civita
 from pskmap.forms import max_abs
 from pskmap.intrinsic import (
     PSKCandidate,
-    SymTensor3,
     all_residuals,
     build_pq,
-    dpq_residual,
-    integrability_residual,
+    dpq_matrices,
+    integrability_matrices,
     j_action,
     make_candidate,
     pq_from_tensors,
     rotate,
-    rotate_tensors,
+    sym_tensor,
     sym_triples,
     torsion_residual,
-    tpq_residual,
-    wpq_residual,
+    tpq_matrix,
+    wpq_matrix,
 )
+from pskmap.lie import PreconditionError
 
 SQ2 = math.sqrt(2.0)
 
@@ -62,11 +62,19 @@ class TestBuildPQ:
         assert max_abs(p) == 0.0 and max_abs(q) == 0.0
 
     def test_single_index(self):
-        sa = SymTensor3.from_triples(1, [(1, 1, 1, 0.75)])
-        p, q = pq_from_tensors(sa, SymTensor3.zero(1))
+        sa = sym_tensor(1, [(1, 1, 1, 0.75)])
+        p, q = pq_from_tensors(sa, sym_tensor(1, []))
         e = np.eye(2)
         assert max_abs(q[0, 0] - 0.75 * e[0]) == 0.0
         assert max_abs(p[0, 0] - 0.75 * e[1]) == 0.0
+
+    def test_stack_matches_rows(self, rng):
+        Sa, Sb = rng.uniform(-1, 1, (2, 5, 10))
+        p, q = pq_from_tensors(Sa, Sb)
+        assert p.shape == q.shape == (5, 3, 3, 6)
+        for r in range(5):
+            p_r, q_r = pq_from_tensors(Sa[r], Sb[r])
+            assert np.array_equal(p[r], p_r) and np.array_equal(q[r], q_r)
 
     def test_p_is_J_of_q(self):
         cand = four_dim_candidate()
@@ -98,28 +106,28 @@ class TestCurvatureEquations:
         L, B = four_dim_example()
         _, K = geometry(L, B)
         p, q = build_pq(four_dim_candidate())
-        assert tpq_residual(K, p, q) < 1e-14
-        assert wpq_residual(K, p, q) < 1e-14
+        assert max_abs(tpq_matrix(K, p, q)) < 1e-14
+        assert max_abs(wpq_matrix(K, p, q)) < 1e-14
 
     def test_flat_model(self):
         for n in (1, 2):
             L, B = complex_hyperbolic(n)
             _, K = geometry(L, B)
             p, q = build_pq(complex_hyperbolic_candidate(n))
-            assert tpq_residual(K, p, q) < 1e-12
-            assert wpq_residual(K, p, q) < 1e-12
+            assert max_abs(tpq_matrix(K, p, q)) < 1e-12
+            assert max_abs(wpq_matrix(K, p, q)) < 1e-12
 
     def test_w_closed_form_relation(self):
         # residual |(-c^2 - 2x^2) + 4| on the a^b coefficient
         for c, x in ((1.5, 0.3), (2.5, 1.0)):
             L, B = ch1(c)
             _, K = geometry(L, B)
-            sa = SymTensor3.from_triples(1, [(1, 1, 1, x)])
-            p, q = pq_from_tensors(sa, SymTensor3.zero(1))
+            sa = sym_tensor(1, [(1, 1, 1, x)])
+            p, q = pq_from_tensors(sa, sym_tensor(1, []))
             expect = abs(-c * c - 2 * x * x + 4.0)
-            assert wpq_residual(K, p, q) == pytest.approx(expect, rel=1e-12)
+            assert max_abs(wpq_matrix(K, p, q)) == pytest.approx(expect, rel=1e-12)
             # n=1 wedge squares vanish, so the T equation is trivial
-            assert tpq_residual(K, p, q) < 1e-14
+            assert max_abs(tpq_matrix(K, p, q)) < 1e-14
 
 
 class TestDerivativeEquations:
@@ -128,7 +136,7 @@ class TestDerivativeEquations:
         conn, _ = geometry(L, B)
         cand = four_dim_candidate()
         p, q = build_pq(cand)
-        assert dpq_residual(p, q, cand.kappa, conn, L) < 1e-14
+        assert max(map(max_abs, dpq_matrices(p, q, cand.kappa, conn, L))) < 1e-14
 
     def test_ch1_closed_form(self):
         # the p-equation reduces to x (3c - 4/c) a^b
@@ -136,18 +144,19 @@ class TestDerivativeEquations:
             L, B = ch1(c)
             conn, _ = geometry(L, B)
             x = math.sqrt(max(0.0, (4 - c * c) / 2.0))
-            sa = SymTensor3.from_triples(1, [(1, 1, 1, x)])
-            p, q = pq_from_tensors(sa, SymTensor3.zero(1))
+            sa = sym_tensor(1, [(1, 1, 1, x)])
+            p, q = pq_from_tensors(sa, sym_tensor(1, []))
             kappa = np.array([0.0, 1.0 / c])
             expect = abs(x * (3 * c - 4.0 / c))
-            assert dpq_residual(p, q, kappa, conn, L) == pytest.approx(expect, abs=1e-12)
+            got = max(map(max_abs, dpq_matrices(p, q, kappa, conn, L)))
+            assert got == pytest.approx(expect, abs=1e-12)
 
     def test_zero_candidate_any_kappa(self):
         L, B = ch1(2.0)
         conn, _ = geometry(L, B)
         zero = np.zeros((1, 1, 2))
         kappa = np.array([0.3, 0.5])
-        assert dpq_residual(zero, zero, kappa, conn, L) == 0.0
+        assert max(map(max_abs, dpq_matrices(zero, zero, kappa, conn, L))) == 0.0
 
 
 class TestIntegrability:
@@ -155,20 +164,20 @@ class TestIntegrability:
         L, B = four_dim_example()
         _, K = geometry(L, B)
         p, q = build_pq(four_dim_candidate())
-        assert integrability_residual(K, p, q) < 1e-14
+        assert max(map(max_abs, integrability_matrices(K, p, q))) < 1e-14
 
     def test_zero(self):
         L, B = four_dim_example()
         _, K = geometry(L, B)
         zero = np.zeros((2, 2, 4))
-        assert integrability_residual(K, zero, zero) == 0.0
+        assert max(map(max_abs, integrability_matrices(K, zero, zero))) == 0.0
 
     def test_wrong_candidate_detected(self):
         L, B = four_dim_example()
         _, K = geometry(L, B)
-        sa = SymTensor3.from_triples(2, [(1, 1, 1, 1.0)])
-        p, q = pq_from_tensors(sa, SymTensor3.zero(2))
-        assert integrability_residual(K, p, q) > 1.0
+        sa = sym_tensor(2, [(1, 1, 1, 1.0)])
+        p, q = pq_from_tensors(sa, sym_tensor(2, []))
+        assert max(map(max_abs, integrability_matrices(K, p, q))) > 1.0
 
 
 class TestRotation:
@@ -205,20 +214,18 @@ class TestRotation:
         # T and W residuals are pointwise rotation-invariant; the paired
         # equations (torsion, dP/dQ, integrability) rotate inside each
         # pair, so it is their joint Euclidean size that is preserved.
-        from pskmap.intrinsic import dpq_matrices, integrability_matrices
-
         L, B = four_dim_example()
         conn, K = geometry(L, B)
         cand = four_dim_candidate()
         base_p, base_q = build_pq(cand)
-        sa = SymTensor3.from_triples(2, [(1, 1, 2, 0.4), (2, 2, 2, -0.3)])
-        sb = SymTensor3.from_triples(2, [(1, 2, 2, 0.8)])
+        sa = sym_tensor(2, [(1, 1, 2, 0.4), (2, 2, 2, -0.3)])
+        sb = sym_tensor(2, [(1, 2, 2, 0.8)])
         off_p, off_q = pq_from_tensors(sa, sb)
         count = 0
         for p, q in ((base_p, base_q), (off_p, off_q)):
             ref = (
-                tpq_residual(K, p, q),
-                wpq_residual(K, p, q),
+                max_abs(tpq_matrix(K, p, q)),
+                max_abs(wpq_matrix(K, p, q)),
                 self._pair_norm(dpq_matrices(p, q, cand.kappa, conn, L)),
                 self._pair_norm(integrability_matrices(K, p, q)),
             )
@@ -226,8 +233,8 @@ class TestRotation:
                 s = float(rng.uniform(0, 2 * math.pi))
                 ps, qs = rotate(p, q, s)
                 got = (
-                    tpq_residual(K, ps, qs),
-                    wpq_residual(K, ps, qs),
+                    max_abs(tpq_matrix(K, ps, qs)),
+                    max_abs(wpq_matrix(K, ps, qs)),
                     self._pair_norm(dpq_matrices(ps, qs, cand.kappa, conn, L)),
                     self._pair_norm(integrability_matrices(K, ps, qs)),
                 )
@@ -244,15 +251,15 @@ class TestRotation:
             s = float(rng.uniform(0, 2 * math.pi))
             ps, qs = rotate(p, q, s)
             assert torsion_residual(ps, qs) < 1e-9
-            assert tpq_residual(K, ps, qs) < 1e-9
-            assert wpq_residual(K, ps, qs) < 1e-9
-            assert dpq_residual(ps, qs, cand.kappa, conn, L) < 1e-9
-            assert integrability_residual(K, ps, qs) < 1e-9
+            assert max_abs(tpq_matrix(K, ps, qs)) < 1e-9
+            assert max_abs(wpq_matrix(K, ps, qs)) < 1e-9
+            assert max(map(max_abs, dpq_matrices(ps, qs, cand.kappa, conn, L))) < 1e-9
+            assert max(map(max_abs, integrability_matrices(K, ps, qs))) < 1e-9
 
     def test_tensor_rotation_matches_matrix_rotation(self, rng):
         cand = four_dim_candidate()
         s = 0.9
-        sa, sb = rotate_tensors(cand.Sa, cand.Sb, s)
+        sa, sb = rotate(cand.Sa, cand.Sb, s)
         pm, qm = rotate(*build_pq(cand), s)
         pt, qt = pq_from_tensors(sa, sb)
         assert max_abs(pm - pt) < 1e-12
@@ -266,10 +273,10 @@ class TestKappaFreedom:
         cand = four_dim_candidate()
         p, q = build_pq(cand)
         shifted = cand.kappa + np.array([0.35, 0.0, 0.0, 0.0])
-        assert dpq_residual(p, q, shifted, conn, L) > 1e-3
-        assert integrability_residual(K, p, q) < 1e-14
-        assert tpq_residual(K, p, q) < 1e-14
-        assert wpq_residual(K, p, q) < 1e-14
+        assert max(map(max_abs, dpq_matrices(p, q, shifted, conn, L))) > 1e-3
+        assert max(map(max_abs, integrability_matrices(K, p, q))) < 1e-14
+        assert max_abs(tpq_matrix(K, p, q)) < 1e-14
+        assert max_abs(wpq_matrix(K, p, q)) < 1e-14
 
     def test_near_solution_implication(self, rng):
         # on candidates solving torsion/T/W exactly, the kappa-free pair is
@@ -281,8 +288,8 @@ class TestKappaFreedom:
         for _ in range(20):
             eps = float(rng.uniform(-0.5, 0.5))
             kappa = cand.kappa + np.array([eps, 0.0, 0.0, 0.0])
-            dpq = dpq_residual(p, q, kappa, conn, L)
-            integ = integrability_residual(K, p, q)
+            dpq = max(map(max_abs, dpq_matrices(p, q, kappa, conn, L)))
+            integ = max(map(max_abs, integrability_matrices(K, p, q)))
             assert integ <= 4.0 * dpq + 1e-12
 
 
@@ -292,6 +299,24 @@ class TestCandidateValidation:
         cand = four_dim_candidate()
         made = make_candidate(L, B, cand.Sa, cand.Sb, cand.kappa)
         assert made.n == 2
+
+    @pytest.mark.parametrize("field", ["Sa", "Sb"])
+    def test_wrong_tensor_length_rejected(self, field):
+        cand = four_dim_candidate()
+        arrays = {"Sa": cand.Sa, "Sb": cand.Sb, "kappa": cand.kappa}
+        arrays[field] = np.zeros(5)
+        with pytest.raises(PreconditionError):
+            PSKCandidate(**arrays)
+
+    def test_keeps_read_only_copies(self):
+        Sa, Sb, kappa = np.zeros(4), np.zeros(4), np.array([0.0, 0.0, 1.0 / SQ2, 0.5])
+        Sa[1] = 1.0
+        cand = PSKCandidate(Sa, Sb, kappa)
+        Sa[1], Sb[0], kappa[0] = 7.0, 7.0, 7.0
+        assert np.array_equal(cand.Sa, four_dim_candidate().Sa)
+        assert max_abs(cand.Sb) == 0.0 and cand.kappa[0] == 0.0
+        with pytest.raises(ValueError):
+            cand.Sa[0] = 1.0
 
     def test_bad_kappa_rejected(self):
         L, B = four_dim_example()
@@ -327,16 +352,15 @@ def transport(cand, R):
     C(conj(U) ., conj(U) ., conj(U) .)."""
     n = cand.n
     U = R[:n, :n] + 1j * R[n:, :n]
+    triples = sym_triples(n)
     C = np.zeros((n, n, n), dtype=complex)
     for idx in np.ndindex(n, n, n):
-        i, j, k = (x + 1 for x in idx)
-        C[idx] = cand.Sa.get(i, j, k) + 1j * cand.Sb.get(i, j, k)
+        u = triples.index(tuple(sorted(x + 1 for x in idx)))
+        C[idx] = cand.Sa[u] + 1j * cand.Sb[u]
     V = U.conj()
     C = np.einsum("abc,ai,bj,ck->ijk", C, V, V, V)
-    entries = [C[i - 1, j - 1, k - 1] for i, j, k in sym_triples(n)]
-    return PSKCandidate(SymTensor3.from_vector(n, [z.real for z in entries]),
-                        SymTensor3.from_vector(n, [z.imag for z in entries]),
-                        R.T @ cand.kappa)
+    entries = np.array([C[i - 1, j - 1, k - 1] for i, j, k in triples])
+    return PSKCandidate(entries.real, entries.imag, R.T @ cand.kappa)
 
 
 FRAME_CASES = {

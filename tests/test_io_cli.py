@@ -4,12 +4,14 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import pskmap
 import pskmap.connection as connection_module
-from pskmap.catalog import ch1, four_dim_candidate, four_dim_example
+from pskmap.catalog import ch1, ch1_cubed, four_dim_candidate, four_dim_example
 from pskmap.cli import main
+from pskmap.intrinsic import PSKCandidate, sym_tensor
 from pskmap.io import (
     ParseError,
     algebra_to_dict,
@@ -35,6 +37,16 @@ class TestAlgebraFile:
         loaded = load_algebra_file(str(path))
         assert algebra_to_dict(loaded.L, loaded.B, labels=loaded.labels,
                                candidate=loaded.candidate) == obj
+
+    def test_candidate_written_sparse_in_sorted_triple_order(self):
+        L, B = ch1_cubed(2.0)
+        Sa = sym_tensor(3, [(3, 2, 1, 0.5), (1, 1, 1, -2.0), (2, 3, 3, 0.25)])
+        Sb = sym_tensor(3, [(2, 2, 2, -0.0), (1, 1, 3, 1.5)])
+        cand = PSKCandidate(Sa, Sb, np.array([0.0, 0.0, 0.0, 0.5, 0.5, 0.5]))
+        out = algebra_to_dict(L, B, candidate=cand)["candidate"]
+        assert out["Sa"] == [[1, 1, 1, -2.0], [1, 2, 3, 0.5], [2, 3, 3, 0.25]]
+        assert out["Sb"] == [[1, 1, 3, 1.5]]
+        assert all(type(row[3]) is float for row in out["Sa"] + out["Sb"])
 
     def test_bad_indices_rejected(self):
         with pytest.raises(ParseError):

@@ -19,14 +19,14 @@ from pskmap.catalog import (
     four_dim_example,
 )
 from pskmap.connection import curvature, levi_civita
-from pskmap.intrinsic import PSKCandidate, all_residuals, rotate_tensors
+from pskmap.forms import max_abs
+from pskmap.intrinsic import PSKCandidate, all_residuals, rotate, sym_tensor
 from pskmap.lie import NotExactError, PreconditionError
 from pskmap.solver import (
     CompiledResidual,
     SolveConfig,
     build_geometry,
     certify_gauge_orbit,
-    compiled,
     residual_vector,
     scan_curvature,
     solve,
@@ -86,7 +86,7 @@ class TestResidualVector:
     @pytest.mark.parametrize("name", GEOMETRIES)
     def test_compiled_matches_direct(self, rng, name):
         geom = GEOMETRIES[name]()
-        fun = compiled(geom)
+        fun = CompiledResidual(geom)
         for _ in range(10):
             x = rng.standard_normal(geom.n_unknowns)
             assert np.abs(fun(x) - residual_vector(x, geom)).max() < 1e-12
@@ -96,7 +96,7 @@ class TestResidualVector:
         # The triplet (r * d + i, j, v) stands for Q[r, i, j] = v; the set
         # of triplets equals its own (i, j) transpose.
         geom = GEOMETRIES[name]()
-        fun = compiled(geom)
+        fun = CompiledResidual(geom)
         row, i = np.divmod(fun.q_rows, geom.n_unknowns)
         j = fun.q_cols
 
@@ -114,7 +114,7 @@ class TestResidualVector:
 
         geom = GEOMETRIES[name]()
         monkeypatch.setattr(solver, "residual_vector", refuse)
-        fun = compiled(geom)
+        fun = CompiledResidual(geom)
         R, d = len(fun.r0), geom.n_unknowns
         assert fun.r0.shape == (R,) and fun.A.shape == (R, d)
         nnz = len(fun.q_vals)
@@ -136,7 +136,7 @@ def test_ch4_quadratic_term_is_held_sparse():
     # 1.1 MB), where the dense (R, d, d) quadratic term alone took 24 MB; the
     # triplets are exactly the non-zeros of that dense term, with no repeats.
     geom = GEOMETRIES["ch4_model"]()
-    fun = compiled(geom)
+    fun = CompiledResidual(geom)
     arrays = [a for a in vars(fun).values() if isinstance(a, np.ndarray)]
     assert sum(a.nbytes for a in arrays) < 2_000_000
     R, d = fun.A.shape
@@ -179,7 +179,7 @@ class TestJacobian:
     @pytest.mark.parametrize("name", GEOMETRIES)
     def test_matches_finite_differences(self, rng, name):
         geom = GEOMETRIES[name]()
-        fun = compiled(geom)
+        fun = CompiledResidual(geom)
         h = 1e-6
         count = 0
         for _ in range(100):
@@ -200,7 +200,7 @@ class TestJacobian:
         # three-point collinearity of the second difference
         L, B = four_dim_example()
         geom = build_geometry(L, B)
-        fun = compiled(geom)
+        fun = CompiledResidual(geom)
         for _ in range(20):
             x = rng.standard_normal(geom.n_unknowns)
             h = rng.standard_normal(geom.n_unknowns)
@@ -223,12 +223,10 @@ class TestJacobian:
             x = rng.standard_normal(geom.n_unknowns)
             base = np.linalg.norm(residual_vector(x, geom))
             s = float(rng.uniform(0, 2 * math.pi))
-            from pskmap.intrinsic import SymTensor3
-
-            Sa = SymTensor3.from_vector(2, x[:t])
-            Sb = SymTensor3.from_vector(2, x[t:2 * t])
-            Ra, Rb = rotate_tensors(Sa, Sb, s)
-            xr = np.concatenate([Ra.to_vector(), Rb.to_vector(), x[2 * t:]])
+            Sa = x[:t]
+            Sb = x[t:2 * t]
+            Ra, Rb = rotate(Sa, Sb, s)
+            xr = np.concatenate([Ra, Rb, x[2 * t:]])
             rotated = np.linalg.norm(residual_vector(xr, geom))
             assert abs(base - rotated) < 1e-9 * (1 + base)
 
@@ -247,8 +245,8 @@ class TestSolve:
         geom = build_geometry(L, B)
         res = solve(geom, SolveConfig(starts=16, seed=1))
         assert res.status == "Solved"
-        x = res.candidate.Sa.get(1, 1, 1)
-        assert res.candidate.Sb.norm_inf() < 1e-8
+        x = res.candidate.Sa[0]  # the (1, 1, 1) entry
+        assert max_abs(res.candidate.Sb) < 1e-8
         assert abs(abs(x) - c) < 1e-6  # |x| = 2/sqrt(3)
 
     def test_product_on_known_orbit(self):
@@ -285,32 +283,26 @@ class TestSolve:
 class TestGaugeOrbit:
     def test_same_orbit_distance_zero(self):
         cand = four_dim_candidate()
-        sa, sb = rotate_tensors(cand.Sa, cand.Sb, 0.7)
+        sa, sb = rotate(cand.Sa, cand.Sb, 0.7)
         rotated = PSKCandidate(sa, sb, cand.kappa)
         assert certify_gauge_orbit(rotated, cand) < 1e-12
 
     def test_distance_to_zero_candidate_is_norm(self):
         cand = four_dim_candidate()
-        from pskmap.intrinsic import SymTensor3
-
-        zero = PSKCandidate(SymTensor3.zero(2), SymTensor3.zero(2), cand.kappa)
+        zero = PSKCandidate(sym_tensor(2, []), sym_tensor(2, []), cand.kappa)
         # distance to the origin is the rotation-invariant tensor norm
-        va, vb = cand.Sa.to_vector(), cand.Sb.to_vector()
+        va, vb = cand.Sa, cand.Sb
         expect = math.sqrt(float(va @ va + vb @ vb))
         assert certify_gauge_orbit(cand, zero) == pytest.approx(expect)
         # and it does not depend on the gauge representative
-        sa, sb = rotate_tensors(cand.Sa, cand.Sb, 1.3)
+        sa, sb = rotate(cand.Sa, cand.Sb, 1.3)
         rotated = PSKCandidate(sa, sb, cand.kappa)
         assert certify_gauge_orbit(rotated, zero) == pytest.approx(expect)
 
     def test_generic_candidates_apart(self, rng):
-        from pskmap.intrinsic import SymTensor3
-
         kappa = four_dim_candidate().kappa
-        a = PSKCandidate(SymTensor3.from_vector(2, rng.uniform(-1, 1, 4)),
-                         SymTensor3.from_vector(2, rng.uniform(-1, 1, 4)), kappa)
-        b = PSKCandidate(SymTensor3.from_vector(2, rng.uniform(-1, 1, 4)),
-                         SymTensor3.from_vector(2, rng.uniform(-1, 1, 4)), kappa)
+        a = PSKCandidate(rng.uniform(-1, 1, 4), rng.uniform(-1, 1, 4), kappa)
+        b = PSKCandidate(rng.uniform(-1, 1, 4), rng.uniform(-1, 1, 4), kappa)
         assert certify_gauge_orbit(a, b) > 1e-3
 
 
