@@ -16,17 +16,17 @@ from .connection import (
     ConnectionData,
     CurvatureData,
     NotKahlerError,
-    bianchi_residual,
     ch_model,
     curvature,
     kahler_check,
     levi_civita,
 )
 from .intrinsic import (
+    Geometry,
     PSKCandidate,
     all_residuals,
-    build_pq,
-    make_candidate,
+    build_geometry,
+    residual_matrices,
     rotate,
     sym_tensor,
     torsion_residual,
@@ -43,11 +43,9 @@ from .cone import (
     verify_eta_conditions,
 )
 from .solver import (
-    Geometry,
     ScanResult,
     SolveConfig,
     SolveResult,
-    build_geometry,
     certify_gauge_orbit,
     residual_vector,
     scan_curvature,

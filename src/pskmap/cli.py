@@ -21,8 +21,8 @@ from .cone import (
     special_cone,
     verify_eta_conditions,
 )
-from .connection import NotKahlerError, curvature, kahler_check, levi_civita
-from .intrinsic import all_residuals, pq_from_tensors
+from .connection import NotKahlerError, kahler_check, levi_civita
+from .intrinsic import all_residuals, build_geometry, pq_from_tensors
 from .io import (
     ParseError,
     Report,
@@ -33,7 +33,7 @@ from .io import (
     save_algebra_file,
 )
 from .lie import AdaptedBasis, NotExactError, PreconditionError
-from .solver import SolveConfig, build_geometry, scan_curvature, solve
+from .solver import SolveConfig, scan_curvature, solve
 from .tolerance import EXACT, GRAM_MIN_EIG, REPORT, SP1_FIT
 
 EXIT_OK = 0
@@ -99,11 +99,11 @@ def cmd_check(args) -> int:
         return EXIT_PRECONDITION
     try:
         af.candidate.validate(af.L)
-        conn = levi_civita(af.L, af.B)
+        geom = build_geometry(af.L, af.B, allow_nonexact=True)
     except (PreconditionError, NotKahlerError) as exc:
         _emit(Report("check", "Precondition", {"error": str(exc)}))
         return EXIT_PRECONDITION
-    res = all_residuals(af.L, af.B, af.candidate, conn, curvature(conn, af.L))
+    res = all_residuals(geom, af.candidate)
     ok = max(res.values()) < args.tol
     _emit(Report("check", "ok" if ok else "ResidualFailure",
                  {"residuals": res, "tolerance": args.tol}))

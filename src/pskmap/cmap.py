@@ -38,9 +38,9 @@ from .cone import (
     special_cone,
     wedge_sum,
 )
-from .connection import ConnectionData, levi_civita
+from .connection import ConnectionData
 from .forms import max_abs
-from .intrinsic import PSKCandidate, all_residuals, pq_from_tensors
+from .intrinsic import PSKCandidate, all_residuals, build_geometry, pq_from_tensors
 from .lie import (
     AdaptedBasis,
     LieAlgebra,
@@ -118,8 +118,8 @@ def build_twist_frame(L: LieAlgebra, B: AdaptedBasis, cand: PSKCandidate,
     """Assemble the extended frame over a verified geometry and check that
     d*d = 0 on the cotangent coframe (flatness of the special connection).
 
-    conn is the Levi-Civita connection of (L, B), which the caller has
-    already built to check the candidate.  The rule of Delta_k is
+    conn is the Levi-Civita connection of (L, B), which the caller's
+    geometry already holds from checking the candidate.  The rule of Delta_k is
     -sum_j Delta_j ^ omega_nabla[j, k]: one row-by-matrix wedge."""
     n = B.n
     CA = cone_coframe(L, B, cand.kappa)
@@ -270,39 +270,6 @@ def _hk_triple(TF: TwistFrame, hk: HKForms) -> tuple:
     return hk.omega_I - fiber, hk.omega_J, hk.omega_K
 
 
-def verify_hyperkahler_frame(TF: TwistFrame) -> dict:
-    """Mechanical verification that the cotangent space carries the
-    pseudo-hyperKahler triple used by the twist (_hk_triple).
-
-    Reports closure of all three, the quaternion relations at t=1, and the
-    rotation of the J/K pair along the circle generator.
-    """
-    m = TF.m
-    hk = hk_forms(TF)
-    triple = CFormMatrix.stack(_hk_triple(TF, hk))
-    gram = np.array([hk.g_H[r].eval(1.0, 0.0) for r in range(1, m + 1)])
-    r, s = TF.tables.keys(2).T - 1
-
-    def endomorphism(v: np.ndarray) -> np.ndarray:
-        E = np.zeros((m, m))
-        E[s, r] = v / gram[s]
-        E[r, s] = -v / gram[r]
-        return E
-
-    I_m, J_m, K_m = map(endomorphism, triple.eval_at(1.0, 0.0)[:, 0])
-    eye = np.eye(m)
-    lj = TF.lie_x(triple[1])
-    omega_k = triple[2]
-    return {
-        "closed": TF.d(triple).norm_inf(),
-        "squares": max(np.abs(I_m @ I_m + eye).max(), np.abs(J_m @ J_m + eye).max(),
-                       np.abs(K_m @ K_m + eye).max()),
-        "ij_minus_k": float(np.abs(I_m @ J_m - K_m).max()),
-        "rotation": min((lj - omega_k).norm_inf(), (lj + omega_k).norm_inf()),
-        "invariance_i": TF.lie_x(triple[0]).norm_inf(),
-    }
-
-
 def _constant_or_raise(names: list, forms: CFormMatrix, scale: float) -> np.ndarray:
     """The constant forms of a column, (rows, keys); raises on the first row
     that keeps a t or tau dependence above EXACT * scale."""
@@ -326,13 +293,15 @@ def qk_algebra(L: LieAlgebra, B: AdaptedBasis, cand: PSKCandidate,
     output basis is its dual at t = 1, tau = 0.  The frame is one column,
     so each step is one operation over all generators.
     """
-    conn = levi_civita(L, B)
-    res = all_residuals(L, B, cand, conn)
+    # The gate reads the candidate's kappa, so a Kahler form without an
+    # invariant primitive reaches it (and is refused there), not NotExactError.
+    geom = build_geometry(L, B, allow_nonexact=True)
+    res = all_residuals(geom, cand)
     worst = max(res.values())
     if worst > tol:
         raise NotPSKError(f"candidate residuals up to {worst:.3e} exceed {tol:.1e}")
 
-    TF = build_twist_frame(L, B, cand, conn)
+    TF = build_twist_frame(L, B, cand, geom.conn)
     n, m = TF.n, TF.m
     deltas = _invariant_fiber_coframe(TF)
     sub = _output_substitution(TF)

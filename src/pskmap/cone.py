@@ -747,12 +747,6 @@ TL_ONE = TrigLaurent.const(1.0)
 _T = mono_code(1, 0, 0)
 
 
-def scalar_matmul(S, A: CFormMatrix) -> CFormMatrix:
-    """The product S A of a float matrix S and a CForm matrix A.  The right
-    product A S is A.wedge(CFormMatrix.constant(S, A.m))."""
-    return CFormMatrix.constant(S, A.m, A.tables).wedge(A)
-
-
 # ---------------------------------------------------------------------
 # the cone differential algebra
 # ---------------------------------------------------------------------
@@ -1177,17 +1171,6 @@ def special_blocks(sc: SpecialCone):
             f"honest curvature blocks disagree with displayed formulas by {mismatch:.3e}"
         )
     return T, U, V, W
-
-
-def integrability_display_residual(sc: SpecialCone) -> float:
-    """Residual of the differentiated-flatness displays in (u, v) form:
-    M~^u - u^M~ + Lam~^v + v^Lam~ + 4 omega~_S ^ v  (and its partner)."""
-    u, v = sc.u, sc.v
-    M_l, L_l = sc.base_curvature
-    four_omega_s = _diagonal(sc.CA._fixed["omega_s"].scale(4.0), sc.CA.n)
-    r1 = wedge_sum((M_l, u), (-u, M_l), (L_l, v), (v, L_l), (four_omega_s, v))
-    r2 = wedge_sum((M_l, v), (-v, M_l), (-L_l, u), (-u, L_l), (-four_omega_s, u))
-    return max(r1.norm_inf(), r2.norm_inf())
 
 
 def oracle_residual(L: LieAlgebra, B: AdaptedBasis, cand) -> float:

@@ -157,16 +157,3 @@ def ch_model(n: int) -> CurvatureData:
     M = -outer(a, a) - outer(b, b)
     Lam = -outer(a, b) + outer(b, a) - 2.0 * np.eye(n)[:, :, None] * ext.kahler()
     return CurvatureData(M, Lam)
-
-
-def bianchi_residual(C: ConnectionData, K: CurvatureData, L: LieAlgebra) -> float:
-    """Residual of the two differential curvature identities; vanishes whenever
-    K was actually computed from C over a genuine Lie algebra."""
-    D = d_matrix(L, 2)
-    ext = DenseExterior(L.dim)
-    mu, lam, M, Lam = C.mu, C.lam, K.M, K.Lam
-    w21 = lambda X, Y: ext.wedge_matrix(X, Y, 2, 1)
-    w12 = lambda X, Y: ext.wedge_matrix(X, Y, 1, 2)
-    rM = M @ D.T - (w21(M, mu) - w12(mu, M) - w21(Lam, lam) + w12(lam, Lam))
-    rL = Lam @ D.T - (w21(M, lam) - w12(mu, Lam) + w21(Lam, mu) - w12(lam, M))
-    return max(max_abs(rM), max_abs(rL))

@@ -16,9 +16,15 @@ KAPPA_TERM_SIGN and its regression test.
 
 p, q and every residual matrix are dense (n, n, comb(2n, k)) arrays on the
 kernel of forms.DenseExterior, like the connection and curvature blocks;
-kappa is a (2n,) array of one-form coefficients.  pq_from_tensors and the
-evaluators of the derivative and integrability pairs broadcast over leading
-axes, so the solver's compile applies them to a stack of basis tensors.
+kappa is a (2n,) array of one-form coefficients.
+
+Each evaluator takes (geom, p, q, ...) and reads its fixed data (the
+connection, curvature, CH(n) model and the one DenseExterior whose sign
+tables they share) from a Geometry; none builds a kernel or a model.
+residual_matrices names every equation once; the solver's residual vector
+and report, and all_residuals, read it.  pq_from_tensors and the evaluators
+broadcast over leading axes, so the solver's compile applies them to a
+stack of basis tensors.
 """
 
 from __future__ import annotations
@@ -30,10 +36,17 @@ from itertools import combinations_with_replacement, product
 
 import numpy as np
 
-from .connection import ConnectionData, CurvatureData, ch_model
+from .connection import ConnectionData, CurvatureData, ch_model, curvature, levi_civita
 from .forms import DenseExterior, max_abs
-from .lie import AdaptedBasis, LieAlgebra, PreconditionError, d_matrix
-from .tolerance import TORSION, exact_bound
+from .lie import (
+    AdaptedBasis,
+    LieAlgebra,
+    NotExactError,
+    PreconditionError,
+    d_matrix,
+    solve_primitive,
+)
+from .tolerance import EXACT, TORSION, exact_bound
 
 # +1 selects "+4 kappa^q" in the p-equation and "-4 kappa^p" in the
 # q-equation; the opposite sign regime is not supported.
@@ -104,13 +117,6 @@ class PSKCandidate:
             raise PreconditionError(f"kappa is not a primitive of omega_S (residual {res:.3e})")
 
 
-def make_candidate(L: LieAlgebra, B: AdaptedBasis, Sa: np.ndarray, Sb: np.ndarray,
-                   kappa: np.ndarray) -> PSKCandidate:
-    cand = PSKCandidate(Sa, Sb, kappa)
-    cand.validate(L)
-    return cand
-
-
 def j_action(q: np.ndarray) -> np.ndarray:
     """The complex structure on one-forms, a^i -> b^i and b^i -> -a^i, over
     the last axis of a (..., 2n) array."""
@@ -127,65 +133,120 @@ def pq_from_tensors(Sa: np.ndarray, Sb: np.ndarray):
     return j_action(q), q
 
 
-def build_pq(cand: PSKCandidate):
-    """Candidate -> (p, q); torsion vanishes by total symmetry and is asserted."""
-    p, q = pq_from_tensors(cand.Sa, cand.Sb)
-    scale = 1.0 + max(max_abs(cand.Sa), max_abs(cand.Sb))
-    res = torsion_residual(p, q)
-    if res > TORSION * scale:
-        raise AssertionError(f"total symmetry should kill torsion, residual {res:.3e}")
-    return p, q
+@dataclass
+class Geometry:
+    """The fixed data every evaluator reads: algebra, Levi-Civita connection,
+    curvature, the CH(n) model blocks, the exterior kernel over a^1..b^n and
+    the kappa split.
+
+    kappa0 is the minimum-norm primitive of omega_S, a (2n,) array, and
+    kernel the closed one-forms, an (r, 2n) array, so that every primitive
+    is kappa0 + x @ kernel; kappa0 is None and kernel has no rows when
+    omega_S is not exact.  ext's sign tables live as long as the geometry."""
+
+    L: LieAlgebra
+    B: AdaptedBasis
+    conn: ConnectionData
+    curv: CurvatureData
+    model: CurvatureData
+    ext: DenseExterior
+    kappa0: np.ndarray | None
+    kernel: np.ndarray
+    exact: bool
+
+    @property
+    def n(self) -> int:
+        return self.B.n
+
+    @property
+    def n_tensor(self) -> int:
+        return len(sym_triples(self.n))
+
+    @property
+    def n_unknowns(self) -> int:
+        return 2 * self.n_tensor + len(self.kernel)
+
+    def unpack(self, x: np.ndarray):
+        t = self.n_tensor
+        kappa = self.kappa0 + x[2 * t:] @ self.kernel if self.exact else None
+        return x[:t], x[t:2 * t], kappa
+
+    def pack(self, cand: PSKCandidate) -> np.ndarray:
+        """Inverse of unpack; projects the candidate's kappa on the kernel."""
+        vec = [cand.Sa, cand.Sb]
+        if self.exact:
+            diff = cand.kappa - self.kappa0
+            coeffs, *_ = np.linalg.lstsq(self.kernel.T, diff, rcond=None)
+            if max_abs(coeffs @ self.kernel - diff) > EXACT:
+                raise PreconditionError("candidate kappa is not a primitive plus kernel")
+            vec.append(coeffs)
+        return np.concatenate(vec)
 
 
-def torsion_residual(p: np.ndarray, q: np.ndarray) -> float:
+def build_geometry(L: LieAlgebra, B: AdaptedBasis, *, allow_nonexact: bool = False) -> Geometry:
+    """The geometry of (L, B).  Raises NotExactError when omega_S has no
+    invariant primitive, unless allow_nonexact is set; a caller that reads a
+    given candidate's kappa, not kappa0, sets it."""
+    conn = levi_civita(L, B)
+    curv = curvature(conn, L)
+    ext = DenseExterior(B.dim)
+    try:
+        kappa0, kernel = solve_primitive(L, ext.kahler())
+        exact = True
+    except NotExactError:
+        if not allow_nonexact:
+            raise
+        kappa0, kernel, exact = None, np.zeros((0, B.dim)), False
+    return Geometry(L=L, B=B, conn=conn, curv=curv, model=ch_model(B.n), ext=ext,
+                    kappa0=kappa0, kernel=kernel, exact=exact)
+
+
+# -- the intrinsic equations --------------------------------------------
+
+
+def torsion_residual(geom: Geometry, p: np.ndarray, q: np.ndarray) -> float:
     """Max norm of p^a + q^b and p^b - q^a (vector-valued two-forms)."""
-    n = p.shape[0]
-    ext = DenseExterior(2 * n)
+    n = geom.n
     coframe = np.eye(2 * n)[:, None, :]
     a, b = coframe[:n], coframe[n:]
-    wm = lambda X, Y: ext.wedge_matrix(X, Y, 1, 1)
+    wm = lambda X, Y: geom.ext.wedge_matrix(X, Y, 1, 1)
     return max(max_abs(wm(p, a) + wm(q, b)), max_abs(wm(p, b) - wm(q, a)))
 
 
-def tpq_matrix(K: CurvatureData, p: np.ndarray, q: np.ndarray) -> np.ndarray:
+def tpq_matrix(geom: Geometry, p: np.ndarray, q: np.ndarray) -> np.ndarray:
     """Deviation of M + p^p + q^q from the CH(n) model block."""
-    ext = DenseExterior(2 * K.n)
-    wm = lambda X, Y: ext.wedge_matrix(X, Y, 1, 1)
-    return K.M + wm(p, p) + wm(q, q) - ch_model(K.n).M
+    wm = lambda X, Y: geom.ext.wedge_matrix(X, Y, 1, 1)
+    return geom.curv.M + wm(p, p) + wm(q, q) - geom.model.M
 
 
-def wpq_matrix(K: CurvatureData, p: np.ndarray, q: np.ndarray) -> np.ndarray:
+def wpq_matrix(geom: Geometry, p: np.ndarray, q: np.ndarray) -> np.ndarray:
     """Deviation of Lam + p^q - q^p from the CH(n) model block."""
-    ext = DenseExterior(2 * K.n)
-    wm = lambda X, Y: ext.wedge_matrix(X, Y, 1, 1)
-    return K.Lam + wm(p, q) - wm(q, p) - ch_model(K.n).Lam
+    wm = lambda X, Y: geom.ext.wedge_matrix(X, Y, 1, 1)
+    return geom.curv.Lam + wm(p, q) - wm(q, p) - geom.model.Lam
 
 
-def kappa_terms(kappa: np.ndarray, p: np.ndarray, q: np.ndarray):
+def kappa_terms(geom: Geometry, kappa: np.ndarray, p: np.ndarray, q: np.ndarray):
     """The kappa terms (4 kappa^q, -4 kappa^p) of the derivative pair."""
-    ext = DenseExterior(kappa.shape[-1])
     s4 = 4.0 * KAPPA_TERM_SIGN
-    return s4 * ext.wedge(kappa, q, 1, 1), -s4 * ext.wedge(kappa, p, 1, 1)
+    return s4 * geom.ext.wedge(kappa, q, 1, 1), -s4 * geom.ext.wedge(kappa, p, 1, 1)
 
 
-def dpq_matrices(p: np.ndarray, q: np.ndarray, kappa: np.ndarray, C: ConnectionData,
-                 L: LieAlgebra):
+def dpq_matrices(geom: Geometry, p: np.ndarray, q: np.ndarray, kappa: np.ndarray):
     """Left-hand sides of the derivative pair for (p, q, kappa)."""
-    ext = DenseExterior(L.dim)
-    D = d_matrix(L, 1)
-    mu, lam = C.mu, C.lam
-    wm = lambda X, Y: ext.wedge_matrix(X, Y, 1, 1)
-    kp, kq = kappa_terms(kappa, p, q)
+    D = d_matrix(geom.L, 1)
+    mu, lam = geom.conn.mu, geom.conn.lam
+    wm = lambda X, Y: geom.ext.wedge_matrix(X, Y, 1, 1)
+    kp, kq = kappa_terms(geom, kappa, p, q)
     rp = p @ D.T + wm(mu, p) + wm(p, mu) + wm(lam, q) - wm(q, lam) + kp
     rq = q @ D.T + wm(mu, q) + wm(q, mu) - wm(lam, p) + wm(p, lam) + kq
     return rp, rq
 
 
-def integrability_matrices(K: CurvatureData, p: np.ndarray, q: np.ndarray):
+def integrability_matrices(geom: Geometry, p: np.ndarray, q: np.ndarray):
     """Left-hand sides of the kappa-free integrability pair (three-forms)."""
-    ext = DenseExterior(2 * K.n)
+    ext = geom.ext
     omega_s = ext.kahler()
-    M, Lam = K.M, K.Lam
+    M, Lam = geom.curv.M, geom.curv.Lam
     w21 = lambda X, Y: ext.wedge_matrix(X, Y, 2, 1)
     w12 = lambda X, Y: ext.wedge_matrix(X, Y, 1, 2)
     r1 = (w21(M, p) - w12(p, M) + w21(Lam, q) + w12(q, Lam)
@@ -195,6 +256,18 @@ def integrability_matrices(K: CurvatureData, p: np.ndarray, q: np.ndarray):
     return r1, r2
 
 
+def residual_matrices(geom: Geometry, p: np.ndarray, q: np.ndarray,
+                      kappa: np.ndarray | None) -> dict:
+    """The residual matrix of every intrinsic equation but torsion, under its
+    one name: t_pq, w_pq, then d_p and d_q when kappa is given, then the
+    kappa-free pair integrability_1 and integrability_2."""
+    out = {"t_pq": tpq_matrix(geom, p, q), "w_pq": wpq_matrix(geom, p, q)}
+    if kappa is not None:
+        out["d_p"], out["d_q"] = dpq_matrices(geom, p, q, kappa)
+    out["integrability_1"], out["integrability_2"] = integrability_matrices(geom, p, q)
+    return out
+
+
 def rotate(p: np.ndarray, q: np.ndarray, s: float):
     """Gauge rotation R_s(p, q) = (p cos s + q sin s, -p sin s + q cos s); on
     (Sa, Sb) it is the action on the coefficient tensors of q."""
@@ -202,23 +275,14 @@ def rotate(p: np.ndarray, q: np.ndarray, s: float):
     return (p * c + q * sn, q * c - p * sn)
 
 
-def all_residuals(L: LieAlgebra, B: AdaptedBasis, cand: PSKCandidate,
-                  C: ConnectionData | None = None,
-                  K: CurvatureData | None = None) -> dict:
-    """Every intrinsic residual of a candidate, plus the kappa-free pair."""
-    from .connection import curvature, levi_civita
-
-    if C is None:
-        C = levi_civita(L, B)
-    if K is None:
-        K = curvature(C, L)
-    p, q = build_pq(cand)
-    r1, r2 = integrability_matrices(K, p, q)
-    return {
-        "torsion": torsion_residual(p, q),
-        "t_pq": max_abs(tpq_matrix(K, p, q)),
-        "w_pq": max_abs(wpq_matrix(K, p, q)),
-        "dpq": max(map(max_abs, dpq_matrices(p, q, cand.kappa, C, L))),
-        "integrability_1": max_abs(r1),
-        "integrability_2": max_abs(r2),
-    }
+def all_residuals(geom: Geometry, cand: PSKCandidate) -> dict:
+    """check's report of a candidate: torsion (also asserted, as total
+    symmetry of the tensors kills it), then each equation's maximum, the
+    derivative pair as one dpq = max(d_p, d_q)."""
+    p, q = pq_from_tensors(cand.Sa, cand.Sb)
+    torsion = torsion_residual(geom, p, q)
+    if torsion > TORSION * (1.0 + max(max_abs(cand.Sa), max_abs(cand.Sb))):
+        raise AssertionError(f"total symmetry should kill torsion, residual {torsion:.3e}")
+    res = {name: max_abs(mat) for name, mat in residual_matrices(geom, p, q, cand.kappa).items()}
+    dpq = max(res.pop("d_p"), res.pop("d_q"))
+    return {"torsion": torsion, "t_pq": res.pop("t_pq"), "w_pq": res.pop("w_pq"), "dpq": dpq, **res}

@@ -4,12 +4,14 @@ The unknowns are the two symmetric-tensor coefficient arrays of q plus
 the free coefficients of kappa along the closed one-forms.  Every
 residual entry is a polynomial of degree <= 2 in the unknowns, so the
 whole stacked system is compiled once into (constant, linear, quadratic)
-numpy data (r0, A, Q).  The compile applies the evaluators of
-intrinsic.py to the stack of basis tensors, one per unknown (see
-CompiledResidual); residual_vector, the reference it is tested against,
-evaluates them at one point (x -> p, q -> wedges).  Q is held as COO
-triplets, and evaluation and the exact Jacobian take one np.bincount over
-them.
+numpy data (r0, A, Q).  Everything here reads one intrinsic.Geometry
+(built by build_geometry, which lives there): the compile applies the
+evaluators of intrinsic.py to the stack of basis tensors, one per unknown
+(see CompiledResidual); residual_vector, the reference it is tested
+against, and the per-equation report of solve read
+intrinsic.residual_matrices at one point (x -> p, q -> wedges).  Q is held
+as COO triplets, and evaluation and the exact Jacobian take one np.bincount
+over them.
 
 When the invariant Kahler form has no invariant primitive the
 kappa-dependent equations cannot be posed; geometries built with
@@ -27,29 +29,23 @@ from math import comb
 
 import numpy as np
 
-from .connection import ConnectionData, CurvatureData, curvature, levi_civita
-from .forms import DenseExterior, max_abs
+from .forms import max_abs
 from .intrinsic import (
+    Geometry,
     PSKCandidate,
+    build_geometry,
     dpq_matrices,
     integrability_matrices,
     kappa_terms,
     pq_from_tensors,
+    residual_matrices,
     rotate,
-    sym_triples,
     tpq_matrix,
     wpq_matrix,
 )
-from .lie import (
-    AdaptedBasis,
-    LieAlgebra,
-    NotExactError,
-    PreconditionError,
-    solve_primitive,
-)
+from .lie import PreconditionError
 from .tolerance import (
     DISTINCT,
-    EXACT,
     GAUGE_PRUNE,
     INFEASIBILITY_FLOOR,
     LM_DAMPING,
@@ -81,89 +77,25 @@ class SolveConfig:
             raise PreconditionError("starts must be positive")
 
 
-@dataclass
-class Geometry:
-    """Fixed data of one solve: algebra, connection, curvature and kappa split.
-
-    kappa0 is the minimum-norm primitive of omega_S, a (2n,) array, and
-    kernel the closed one-forms, an (r, 2n) array, so that every primitive
-    is kappa0 + x @ kernel; kappa0 is None and kernel has no rows when
-    omega_S is not exact."""
-
-    L: LieAlgebra
-    B: AdaptedBasis
-    conn: ConnectionData
-    curv: CurvatureData
-    kappa0: np.ndarray | None
-    kernel: np.ndarray
-    exact: bool
-
-    @property
-    def n(self) -> int:
-        return self.B.n
-
-    @property
-    def n_tensor(self) -> int:
-        return len(sym_triples(self.n))
-
-    @property
-    def n_unknowns(self) -> int:
-        base = 2 * self.n_tensor
-        return base + (len(self.kernel) if self.exact else 0)
-
-    def unpack(self, x: np.ndarray):
-        t = self.n_tensor
-        kappa = self.kappa0 + x[2 * t:] @ self.kernel if self.exact else None
-        return x[:t], x[t:2 * t], kappa
-
-    def pack(self, cand: PSKCandidate) -> np.ndarray:
-        """Inverse of unpack; projects the candidate's kappa on the kernel."""
-        vec = [cand.Sa, cand.Sb]
-        if self.exact:
-            diff = cand.kappa - self.kappa0
-            coeffs, *_ = np.linalg.lstsq(self.kernel.T, diff, rcond=None)
-            if max_abs(coeffs @ self.kernel - diff) > EXACT:
-                raise PreconditionError("candidate kappa is not a primitive plus kernel")
-            vec.append(coeffs)
-        return np.concatenate(vec)
-
-
-def build_geometry(L: LieAlgebra, B: AdaptedBasis, *, allow_nonexact: bool = False) -> Geometry:
-    conn = levi_civita(L, B)
-    curv = curvature(conn, L)
-    try:
-        kappa0, kernel = solve_primitive(L, DenseExterior(B.dim).kahler())
-        exact = True
-    except NotExactError:
-        if not allow_nonexact:
-            raise
-        kappa0, kernel, exact = None, np.zeros((0, B.dim)), False
-    return Geometry(L=L, B=B, conn=conn, curv=curv, kappa0=kappa0,
-                    kernel=kernel, exact=exact)
-
-
 # -- residual stacking -------------------------------------------------
 
 
 def residual_vector(cand_or_x, geom: Geometry) -> np.ndarray:
     """Deterministic flattening of all residual forms for one candidate.
 
-    Exact geometries stack the two curvature equations and the two
-    derivative equations; kappa-free geometries replace the derivative
-    pair by the integrability pair.
+    The matrices of residual_matrices in its order: the curvature pair,
+    then the derivative pair on exact geometries and the integrability pair
+    on kappa-free ones.
     """
     if isinstance(cand_or_x, PSKCandidate):
         x = geom.pack(cand_or_x)
     else:
         x = np.asarray(cand_or_x, dtype=float)
     Sa, Sb, kappa = geom.unpack(x)
-    p, q = pq_from_tensors(Sa, Sb)
-    mats = [tpq_matrix(geom.curv, p, q), wpq_matrix(geom.curv, p, q)]
+    mats = residual_matrices(geom, *pq_from_tensors(Sa, Sb), kappa)
     if geom.exact:
-        mats += dpq_matrices(p, q, kappa, geom.conn, geom.L)
-    else:
-        mats += integrability_matrices(geom.curv, p, q)
-    return np.concatenate([mat.ravel() for mat in mats])
+        del mats["integrability_1"], mats["integrability_2"]
+    return np.concatenate([mat.ravel() for mat in mats.values()])
 
 
 class CompiledResidual:
@@ -186,7 +118,7 @@ class CompiledResidual:
     def __init__(self, geom: Geometry):
         n, m, t = geom.n, geom.L.dim, geom.n_tensor
         T, d = 2 * t, geom.n_unknowns
-        ext = DenseExterior(m)
+        ext = geom.ext
         basis = np.eye(T)
         ps, qs = pq_from_tensors(basis[:, :t], basis[:, t:])
         c2 = comb(m, 2)
@@ -201,16 +133,16 @@ class CompiledResidual:
 
         # Second pair: its block of A is the evaluators applied to the basis
         # stack, built first, while no triplet is held, to keep the peak low.
-        lins = (dpq_matrices(ps, qs, geom.kappa0, geom.conn, geom.L) if geom.exact
-                else integrability_matrices(geom.curv, ps, qs))
+        lins = (dpq_matrices(geom, ps, qs, geom.kappa0) if geom.exact
+                else integrability_matrices(geom, ps, qs))
         A[2 * block:, :T] = np.concatenate([lin.reshape(T, -1) for lin in lins], axis=1).T
         del lins
 
         # Curvature pair: M + p^p + q^q = M_CH and Lam + p^q - q^p = Lam_CH,
         # with r0 the evaluators at p = q = 0.
         zero = np.zeros((n, n, m))
-        r0[:block] = tpq_matrix(geom.curv, zero, zero).ravel()
-        r0[block:2 * block] = wpq_matrix(geom.curv, zero, zero).ravel()
+        r0[:block] = tpq_matrix(geom, zero, zero).ravel()
+        r0[block:2 * block] = wpq_matrix(geom, zero, zero).ravel()
 
         def add_symmetrised(start, X1, Y1, X2, Y2, sign):
             prod = (ext.pair_wedge_matrix(X1, Y1, 1, 1)
@@ -231,7 +163,7 @@ class CompiledResidual:
             # Second pair, kappa cross terms: 4 kappa_l ^ q_u (or -4 kappa_l ^ p_u),
             # split evenly between Q[:, u, T + l] and Q[:, T + l, u]
             ks = geom.kernel.reshape(-1, 1, 1, 1, m)
-            for h, term in enumerate(kappa_terms(ks, ps, qs)):
+            for h, term in enumerate(kappa_terms(geom, ks, ps, qs)):
                 term = term.reshape(len(geom.kernel), T, second)
                 l, u, row = np.nonzero(term)
                 half = 0.5 * term[l, u, row]
@@ -316,22 +248,6 @@ def _gauge_angle(Sa: np.ndarray, Sb: np.ndarray):
     return math.atan2(Sb[lead], Sa[lead]), lead
 
 
-def _per_equation(geom: Geometry, cand: PSKCandidate) -> dict:
-    p, q = pq_from_tensors(cand.Sa, cand.Sb)
-    out = {
-        "t_pq": max_abs(tpq_matrix(geom.curv, p, q)),
-        "w_pq": max_abs(wpq_matrix(geom.curv, p, q)),
-    }
-    if geom.exact:
-        rp, rq = dpq_matrices(p, q, cand.kappa, geom.conn, geom.L)
-        out["d_p"] = max_abs(rp)
-        out["d_q"] = max_abs(rq)
-    r1, r2 = integrability_matrices(geom.curv, p, q)
-    out["integrability_1"] = max_abs(r1)
-    out["integrability_2"] = max_abs(r2)
-    return out
-
-
 def solve(geom: Geometry, cfg: SolveConfig = SolveConfig()) -> SolveResult:
     """Multi-start damped least squares over the candidate unknowns.
 
@@ -366,13 +282,14 @@ def solve(geom: Geometry, cfg: SolveConfig = SolveConfig()) -> SolveResult:
         status = "Inconclusive"
 
     cand, note = _normalized_candidate(geom, best_x)
-    per_eq = _per_equation(geom, cand)
+    mats = residual_matrices(geom, *pq_from_tensors(cand.Sa, cand.Sb),
+                             cand.kappa if geom.exact else None)
     return SolveResult(
         status=status,
         best_residual=best_res,
         candidate=cand if geom.exact else None,
         gauge_note=note,
-        per_equation=per_eq,
+        per_equation={name: max_abs(mat) for name, mat in mats.items()},
         mode="full" if geom.exact else "kappa_free",
         start_residuals=[f[0] for f in finals],
         distinct_orbits=len(orbits),

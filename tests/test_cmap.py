@@ -22,13 +22,46 @@ from pskmap.cmap import (
     hk_forms,
     qk_algebra,
     qk_verify,
+    _hk_triple,
     twist_differential,
-    verify_hyperkahler_frame,
 )
-from pskmap.cone import CForm, TrigLaurent
+from pskmap.cone import CForm, CFormMatrix, TrigLaurent
 from pskmap.connection import levi_civita
 from pskmap.intrinsic import PSKCandidate, rotate
 from pskmap.lie import LieAlgebra, adjoint_matrix, jacobi_residual
+
+
+def verify_hyperkahler_frame(TF) -> dict:
+    """Mechanical verification that the cotangent space carries the
+    pseudo-hyperKahler triple used by the twist (_hk_triple).
+
+    Reports closure of all three, the quaternion relations at t=1, and the
+    rotation of the J/K pair along the circle generator.
+    """
+    m = TF.m
+    hk = hk_forms(TF)
+    triple = CFormMatrix.stack(_hk_triple(TF, hk))
+    gram = np.array([hk.g_H[r].eval(1.0, 0.0) for r in range(1, m + 1)])
+    r, s = TF.tables.keys(2).T - 1
+
+    def endomorphism(v: np.ndarray) -> np.ndarray:
+        E = np.zeros((m, m))
+        E[s, r] = v / gram[s]
+        E[r, s] = -v / gram[r]
+        return E
+
+    I_m, J_m, K_m = map(endomorphism, triple.eval_at(1.0, 0.0)[:, 0])
+    eye = np.eye(m)
+    lj = TF.lie_x(triple[1])
+    omega_k = triple[2]
+    return {
+        "closed": TF.d(triple).norm_inf(),
+        "squares": max(np.abs(I_m @ I_m + eye).max(), np.abs(J_m @ J_m + eye).max(),
+                       np.abs(K_m @ K_m + eye).max()),
+        "ij_minus_k": float(np.abs(I_m @ J_m - K_m).max()),
+        "rotation": min((lj - omega_k).norm_inf(), (lj + omega_k).norm_inf()),
+        "invariance_i": TF.lie_x(triple[0]).norm_inf(),
+    }
 
 
 @pytest.fixture(scope="module")

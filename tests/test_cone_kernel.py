@@ -2,10 +2,11 @@
 
 tests/dict_cone.py is the oracle's former kernel: dicts of terms, one term
 pair at a time.  Every operation of the coordinate kernel (wedge, the
-derivation, interior, substitute, scalar_matmul) must give the same terms
-on random forms, up to rounding: negative t powers, sin * sin products
-(rewritten as 1 - cos^2) and the dense rules of cones in random U(n) frames
-and of a twist frame included.
+derivation, interior, substitute, and a float matrix times a form matrix
+as CFormMatrix.constant(S).wedge(A)) must give the same terms on random
+forms, up to rounding: negative t powers, sin * sin products (rewritten as
+1 - cos^2) and the dense rules of cones in random U(n) frames and of a
+twist frame included.
 """
 
 import ast
@@ -29,7 +30,6 @@ from pskmap.cone import (
     KeyTables,
     TrigLaurent,
     cone_coframe,
-    scalar_matmul,
 )
 from pskmap.connection import levi_civita
 from pskmap.forms import DenseExterior
@@ -197,7 +197,8 @@ class TestAgainstDictKernel:
         rng = np.random.default_rng(seed)
         A = random_matrix(rng, (3, 2), 5, int(rng.integers(0, 3)))
         S = rng.standard_normal((4, 3)) * (rng.random((4, 3)) < 0.6)
-        assert_same(scalar_matmul(S, A), ref.scalar_matmul(S, ref_matrix(A)))
+        assert_same(CFormMatrix.constant(S, A.m, A.tables).wedge(A),
+                    ref.scalar_matmul(S, ref_matrix(A)))
 
     @PROPERTY
     @given(seeds, st.sampled_from([1, 3]))

@@ -17,16 +17,14 @@ from pskmap.catalog import (
     four_dim_example,
 )
 from pskmap.cone import DSquaredError, oracle_residual
-from pskmap.connection import curvature, levi_civita
 from pskmap.forms import max_abs
 from pskmap.intrinsic import (
     PSKCandidate,
     all_residuals,
-    build_pq,
+    build_geometry,
     dpq_matrices,
     integrability_matrices,
     j_action,
-    make_candidate,
     pq_from_tensors,
     rotate,
     sym_tensor,
@@ -40,9 +38,8 @@ from pskmap.lie import PreconditionError
 SQ2 = math.sqrt(2.0)
 
 
-def geometry(L, B):
-    conn = levi_civita(L, B)
-    return conn, curvature(conn, L)
+def build_pq(cand):
+    return pq_from_tensors(cand.Sa, cand.Sb)
 
 
 class TestBuildPQ:
@@ -86,98 +83,100 @@ class TestBuildPQ:
 
 class TestTorsion:
     def test_total_symmetry_kills_torsion(self):
-        for cand in (four_dim_candidate(), ch1_candidate(1.5), ch1_cubed_candidate()):
+        for (L, B), cand in ((four_dim_example(), four_dim_candidate()),
+                             (ch1(1.5), ch1_candidate(1.5)),
+                             (ch1_cubed(2.0), ch1_cubed_candidate())):
             p, q = build_pq(cand)
-            assert torsion_residual(p, q) < 1e-14
+            assert torsion_residual(build_geometry(L, B), p, q) < 1e-14
 
     def test_non_symmetric_fails(self):
         q = np.zeros((2, 2, 4))
         q[0, 0, 1] = 1.0
         p = j_action(q)
-        assert torsion_residual(p, q) > 0.5
+        assert torsion_residual(build_geometry(*four_dim_example()), p, q) > 0.5
 
     def test_zero(self):
         zero = np.zeros((2, 2, 4))
-        assert torsion_residual(zero, zero) == 0.0
+        assert torsion_residual(build_geometry(*four_dim_example()), zero, zero) == 0.0
 
 
 class TestCurvatureEquations:
     def test_four_dim_t_and_w(self):
         L, B = four_dim_example()
-        _, K = geometry(L, B)
+        geom = build_geometry(L, B)
         p, q = build_pq(four_dim_candidate())
-        assert max_abs(tpq_matrix(K, p, q)) < 1e-14
-        assert max_abs(wpq_matrix(K, p, q)) < 1e-14
+        assert max_abs(tpq_matrix(geom, p, q)) < 1e-14
+        assert max_abs(wpq_matrix(geom, p, q)) < 1e-14
 
     def test_flat_model(self):
         for n in (1, 2):
             L, B = complex_hyperbolic(n)
-            _, K = geometry(L, B)
+            geom = build_geometry(L, B)
             p, q = build_pq(complex_hyperbolic_candidate(n))
-            assert max_abs(tpq_matrix(K, p, q)) < 1e-12
-            assert max_abs(wpq_matrix(K, p, q)) < 1e-12
+            assert max_abs(tpq_matrix(geom, p, q)) < 1e-12
+            assert max_abs(wpq_matrix(geom, p, q)) < 1e-12
 
     def test_w_closed_form_relation(self):
         # residual |(-c^2 - 2x^2) + 4| on the a^b coefficient
         for c, x in ((1.5, 0.3), (2.5, 1.0)):
             L, B = ch1(c)
-            _, K = geometry(L, B)
+            geom = build_geometry(L, B)
             sa = sym_tensor(1, [(1, 1, 1, x)])
             p, q = pq_from_tensors(sa, sym_tensor(1, []))
             expect = abs(-c * c - 2 * x * x + 4.0)
-            assert max_abs(wpq_matrix(K, p, q)) == pytest.approx(expect, rel=1e-12)
+            assert max_abs(wpq_matrix(geom, p, q)) == pytest.approx(expect, rel=1e-12)
             # n=1 wedge squares vanish, so the T equation is trivial
-            assert max_abs(tpq_matrix(K, p, q)) < 1e-14
+            assert max_abs(tpq_matrix(geom, p, q)) < 1e-14
 
 
 class TestDerivativeEquations:
     def test_four_dim(self):
         L, B = four_dim_example()
-        conn, _ = geometry(L, B)
+        geom = build_geometry(L, B)
         cand = four_dim_candidate()
         p, q = build_pq(cand)
-        assert max(map(max_abs, dpq_matrices(p, q, cand.kappa, conn, L))) < 1e-14
+        assert max(map(max_abs, dpq_matrices(geom, p, q, cand.kappa))) < 1e-14
 
     def test_ch1_closed_form(self):
         # the p-equation reduces to x (3c - 4/c) a^b
         for c in (1.2, 1.5, 2.0, 2.0 / math.sqrt(3.0)):
             L, B = ch1(c)
-            conn, _ = geometry(L, B)
+            geom = build_geometry(L, B)
             x = math.sqrt(max(0.0, (4 - c * c) / 2.0))
             sa = sym_tensor(1, [(1, 1, 1, x)])
             p, q = pq_from_tensors(sa, sym_tensor(1, []))
             kappa = np.array([0.0, 1.0 / c])
             expect = abs(x * (3 * c - 4.0 / c))
-            got = max(map(max_abs, dpq_matrices(p, q, kappa, conn, L)))
+            got = max(map(max_abs, dpq_matrices(geom, p, q, kappa)))
             assert got == pytest.approx(expect, abs=1e-12)
 
     def test_zero_candidate_any_kappa(self):
         L, B = ch1(2.0)
-        conn, _ = geometry(L, B)
+        geom = build_geometry(L, B)
         zero = np.zeros((1, 1, 2))
         kappa = np.array([0.3, 0.5])
-        assert max(map(max_abs, dpq_matrices(zero, zero, kappa, conn, L))) == 0.0
+        assert max(map(max_abs, dpq_matrices(geom, zero, zero, kappa))) == 0.0
 
 
 class TestIntegrability:
     def test_four_dim(self):
         L, B = four_dim_example()
-        _, K = geometry(L, B)
+        geom = build_geometry(L, B)
         p, q = build_pq(four_dim_candidate())
-        assert max(map(max_abs, integrability_matrices(K, p, q))) < 1e-14
+        assert max(map(max_abs, integrability_matrices(geom, p, q))) < 1e-14
 
     def test_zero(self):
         L, B = four_dim_example()
-        _, K = geometry(L, B)
+        geom = build_geometry(L, B)
         zero = np.zeros((2, 2, 4))
-        assert max(map(max_abs, integrability_matrices(K, zero, zero))) == 0.0
+        assert max(map(max_abs, integrability_matrices(geom, zero, zero))) == 0.0
 
     def test_wrong_candidate_detected(self):
         L, B = four_dim_example()
-        _, K = geometry(L, B)
+        geom = build_geometry(L, B)
         sa = sym_tensor(2, [(1, 1, 1, 1.0)])
         p, q = pq_from_tensors(sa, sym_tensor(2, []))
-        assert max(map(max_abs, integrability_matrices(K, p, q))) > 1.0
+        assert max(map(max_abs, integrability_matrices(geom, p, q))) > 1.0
 
 
 class TestRotation:
@@ -215,7 +214,7 @@ class TestRotation:
         # equations (torsion, dP/dQ, integrability) rotate inside each
         # pair, so it is their joint Euclidean size that is preserved.
         L, B = four_dim_example()
-        conn, K = geometry(L, B)
+        geom = build_geometry(L, B)
         cand = four_dim_candidate()
         base_p, base_q = build_pq(cand)
         sa = sym_tensor(2, [(1, 1, 2, 0.4), (2, 2, 2, -0.3)])
@@ -224,19 +223,19 @@ class TestRotation:
         count = 0
         for p, q in ((base_p, base_q), (off_p, off_q)):
             ref = (
-                max_abs(tpq_matrix(K, p, q)),
-                max_abs(wpq_matrix(K, p, q)),
-                self._pair_norm(dpq_matrices(p, q, cand.kappa, conn, L)),
-                self._pair_norm(integrability_matrices(K, p, q)),
+                max_abs(tpq_matrix(geom, p, q)),
+                max_abs(wpq_matrix(geom, p, q)),
+                self._pair_norm(dpq_matrices(geom, p, q, cand.kappa)),
+                self._pair_norm(integrability_matrices(geom, p, q)),
             )
             for _ in range(60):
                 s = float(rng.uniform(0, 2 * math.pi))
                 ps, qs = rotate(p, q, s)
                 got = (
-                    max_abs(tpq_matrix(K, ps, qs)),
-                    max_abs(wpq_matrix(K, ps, qs)),
-                    self._pair_norm(dpq_matrices(ps, qs, cand.kappa, conn, L)),
-                    self._pair_norm(integrability_matrices(K, ps, qs)),
+                    max_abs(tpq_matrix(geom, ps, qs)),
+                    max_abs(wpq_matrix(geom, ps, qs)),
+                    self._pair_norm(dpq_matrices(geom, ps, qs, cand.kappa)),
+                    self._pair_norm(integrability_matrices(geom, ps, qs)),
                 )
                 assert max(abs(a - b) for a, b in zip(ref, got)) < 1e-9
                 count += 1
@@ -244,17 +243,17 @@ class TestRotation:
 
     def test_solutions_stay_solutions_under_rotation(self, rng):
         L, B = four_dim_example()
-        conn, K = geometry(L, B)
+        geom = build_geometry(L, B)
         cand = four_dim_candidate()
         p, q = build_pq(cand)
         for _ in range(25):
             s = float(rng.uniform(0, 2 * math.pi))
             ps, qs = rotate(p, q, s)
-            assert torsion_residual(ps, qs) < 1e-9
-            assert max_abs(tpq_matrix(K, ps, qs)) < 1e-9
-            assert max_abs(wpq_matrix(K, ps, qs)) < 1e-9
-            assert max(map(max_abs, dpq_matrices(ps, qs, cand.kappa, conn, L))) < 1e-9
-            assert max(map(max_abs, integrability_matrices(K, ps, qs))) < 1e-9
+            assert torsion_residual(geom, ps, qs) < 1e-9
+            assert max_abs(tpq_matrix(geom, ps, qs)) < 1e-9
+            assert max_abs(wpq_matrix(geom, ps, qs)) < 1e-9
+            assert max(map(max_abs, dpq_matrices(geom, ps, qs, cand.kappa))) < 1e-9
+            assert max(map(max_abs, integrability_matrices(geom, ps, qs))) < 1e-9
 
     def test_tensor_rotation_matches_matrix_rotation(self, rng):
         cand = four_dim_candidate()
@@ -269,27 +268,27 @@ class TestRotation:
 class TestKappaFreedom:
     def test_kernel_shift_moves_only_dpq(self):
         L, B = four_dim_example()
-        conn, K = geometry(L, B)
+        geom = build_geometry(L, B)
         cand = four_dim_candidate()
         p, q = build_pq(cand)
         shifted = cand.kappa + np.array([0.35, 0.0, 0.0, 0.0])
-        assert max(map(max_abs, dpq_matrices(p, q, shifted, conn, L))) > 1e-3
-        assert max(map(max_abs, integrability_matrices(K, p, q))) < 1e-14
-        assert max_abs(tpq_matrix(K, p, q)) < 1e-14
-        assert max_abs(wpq_matrix(K, p, q)) < 1e-14
+        assert max(map(max_abs, dpq_matrices(geom, p, q, shifted))) > 1e-3
+        assert max(map(max_abs, integrability_matrices(geom, p, q))) < 1e-14
+        assert max_abs(tpq_matrix(geom, p, q)) < 1e-14
+        assert max_abs(wpq_matrix(geom, p, q)) < 1e-14
 
     def test_near_solution_implication(self, rng):
         # on candidates solving torsion/T/W exactly, the kappa-free pair is
         # controlled by the derivative residual
         L, B = four_dim_example()
-        conn, K = geometry(L, B)
+        geom = build_geometry(L, B)
         cand = four_dim_candidate()
         p, q = build_pq(cand)
         for _ in range(20):
             eps = float(rng.uniform(-0.5, 0.5))
             kappa = cand.kappa + np.array([eps, 0.0, 0.0, 0.0])
-            dpq = max(map(max_abs, dpq_matrices(p, q, kappa, conn, L)))
-            integ = max(map(max_abs, integrability_matrices(K, p, q)))
+            dpq = max(map(max_abs, dpq_matrices(geom, p, q, kappa)))
+            integ = max(map(max_abs, integrability_matrices(geom, p, q)))
             assert integ <= 4.0 * dpq + 1e-12
 
 
@@ -297,7 +296,8 @@ class TestCandidateValidation:
     def test_valid(self):
         L, B = four_dim_example()
         cand = four_dim_candidate()
-        made = make_candidate(L, B, cand.Sa, cand.Sb, cand.kappa)
+        made = PSKCandidate(cand.Sa, cand.Sb, cand.kappa)
+        made.validate(L)
         assert made.n == 2
 
     @pytest.mark.parametrize("field", ["Sa", "Sb"])
@@ -322,7 +322,7 @@ class TestCandidateValidation:
         L, B = four_dim_example()
         cand = four_dim_candidate()
         with pytest.raises(ValueError):
-            make_candidate(L, B, cand.Sa, cand.Sb, 2.0 * cand.kappa)
+            PSKCandidate(cand.Sa, cand.Sb, 2.0 * cand.kappa).validate(L)
 
 
 class TestAllResiduals:
@@ -335,12 +335,12 @@ class TestAllResiduals:
             (complex_hyperbolic(2), complex_hyperbolic_candidate(2)),
         ]
         for (L, B), cand in cases:
-            res = all_residuals(L, B, cand)
+            res = all_residuals(build_geometry(L, B), cand)
             assert max(res.values()) < 1e-9
 
     def test_obstructed_case(self):
         L, B = ch1(1.5)
-        res = all_residuals(L, B, ch1_candidate(1.5))
+        res = all_residuals(build_geometry(L, B), ch1_candidate(1.5))
         assert res["dpq"] == pytest.approx(abs(math.sqrt(0.875) * (4.5 - 4.0 / 1.5)))
         assert res["t_pq"] < 1e-14 and res["w_pq"] < 1e-14
 
@@ -384,7 +384,7 @@ def test_unitary_frame_change_keeps_psk(name):
         Lr = conjugate_algebra(L, R)
         moved = transport(cand, R)
         moved.validate(Lr)
-        assert max(all_residuals(Lr, B, moved).values()) < 1e-9
+        assert max(all_residuals(build_geometry(Lr, B), moved).values()) < 1e-9
         assert oracle_residual(Lr, B, moved) < 1e-9
         # kappa left in the old frame is no primitive there
         with pytest.raises(DSquaredError):

@@ -12,6 +12,7 @@ import pskmap.connection as connection_module
 from pskmap.catalog import ch1, ch1_cubed, four_dim_candidate, four_dim_example
 from pskmap.cli import main
 from pskmap.intrinsic import PSKCandidate, sym_tensor
+from pskmap.lie import AdaptedBasis, LieAlgebra
 from pskmap.io import (
     ParseError,
     algebra_to_dict,
@@ -288,6 +289,21 @@ def test_cone_verify_rejects_kappa_of_large_constant(tmp_path, capsys, constant)
     report = json.loads(capsys.readouterr().out)
     assert report["status"] == "Precondition"
 
+
+
+def test_cmap_refuses_an_omega_that_is_not_closed_as_check_does(tmp_path, capsys):
+    # Next to a CH(1) constant of 1e3, levi_civita's Kahler-shape bound
+    # (relative to the largest constant) lets [A2, B2] = 1e-8 A1 through, but
+    # omega_S is then not closed: check reports NotKahler, and cmap's geometry
+    # refuses it at solve_primitive, before its NotPSK gate.
+    L = LieAlgebra.from_brackets(4, [(1, 3, 3, 1e3), (2, 4, 1, 1e-8)])
+    cand = PSKCandidate(np.zeros(4), np.zeros(4), np.array([0.0, 0.0, 1e-3, 0.0]))
+    path = tmp_path / "not_closed.json"
+    path.write_text(json.dumps(algebra_to_dict(L, AdaptedBasis(2), candidate=cand)))
+    assert main(["check", str(path)]) == 3
+    assert json.loads(capsys.readouterr().out)["status"] == "NotKahler"
+    assert main(["cmap", str(path)]) == 3
+    assert capsys.readouterr().err == "precondition: omega is not closed\n"
 
 def test_cli_runs_without_scipy():
     src = str(Path(pskmap.__file__).resolve().parents[1])

@@ -46,7 +46,7 @@ from pskmap.cone import (
     special_cone,
 )
 from pskmap.connection import levi_civita
-from pskmap.intrinsic import all_residuals, pq_from_tensors
+from pskmap.intrinsic import all_residuals, build_geometry, pq_from_tensors
 
 
 def _special_cone(L, B, cand):
@@ -98,7 +98,7 @@ def test_oracle_bracket_rule_sign_caught_by_cone_d_squared(monkeypatch):
     monkeypatch.setattr(cone_module, "_bracket_rules", bad_bracket_rules)
     with pytest.raises(DSquaredError, match="d\\^2 residual"):
         oracle_residual(L, B, cand)
-    assert max(all_residuals(L, B, cand).values()) < 1e-9
+    assert max(all_residuals(build_geometry(L, B), cand).values()) < 1e-9
 
 
 def test_kappa_term_sign_caught_by_intrinsic_residuals_only(monkeypatch):
@@ -106,9 +106,11 @@ def test_kappa_term_sign_caught_by_intrinsic_residuals_only(monkeypatch):
     c = 2.0 / math.sqrt(3.0)
     L, B = ch1(c)
     cand = ch1_candidate(c)
-    assert max(all_residuals(L, B, cand).values()) < 1e-9
+    geom = build_geometry(L, B)
+    assert max(all_residuals(geom, cand).values()) < 1e-9
+    # planted after the geometry is built: the sign is read at call time
     monkeypatch.setattr(intrinsic_module, "KAPPA_TERM_SIGN", -1.0)
-    assert max(all_residuals(L, B, cand).values()) > 1e-3
+    assert max(all_residuals(geom, cand).values()) > 1e-3
     assert oracle_residual(L, B, cand) < 1e-9
 
 
@@ -121,7 +123,7 @@ def test_curvature_lam_scale_caught_by_intrinsic_residuals_only(monkeypatch, cas
         (L, B), cand = ch1(c), ch1_candidate(c)
     else:
         (L, B), cand = four_dim_example(), four_dim_candidate()
-    assert max(all_residuals(L, B, cand).values()) < 1e-9
+    assert max(all_residuals(build_geometry(L, B), cand).values()) < 1e-9
     original = connection_module.curvature
 
     def bad_curvature(C, L):
@@ -131,7 +133,8 @@ def test_curvature_lam_scale_caught_by_intrinsic_residuals_only(monkeypatch, cas
     for name, module in list(sys.modules.items()):
         if name.split(".")[0] == "pskmap" and getattr(module, "curvature", None) is original:
             monkeypatch.setattr(module, "curvature", bad_curvature)
-    assert max(all_residuals(L, B, cand).values()) > 1e-3
+    # planted before the geometry is built, which holds the curvature
+    assert max(all_residuals(build_geometry(L, B), cand).values()) > 1e-3
     assert oracle_residual(L, B, cand) < 1e-9
 
 

@@ -1,10 +1,12 @@
+import json
 import math
+import os
 import sys
 
 import numpy as np
 import pytest
 
-from pskmap import cone, solver
+from pskmap import cone, forms, solver
 from pskmap.catalog import (
     _unitary_conjugation,
     ch1,
@@ -18,9 +20,10 @@ from pskmap.catalog import (
     four_dim_candidate,
     four_dim_example,
 )
-from pskmap.connection import curvature, levi_civita
+from pskmap.cli import main
 from pskmap.forms import max_abs
 from pskmap.intrinsic import PSKCandidate, all_residuals, rotate, sym_tensor
+from pskmap.io import load_algebra_file
 from pskmap.lie import NotExactError, PreconditionError
 from pskmap.solver import (
     CompiledResidual,
@@ -164,16 +167,57 @@ def test_intrinsic_side_never_calls_form_kernel(monkeypatch, rng, name):
             if (module_name.split(".")[0] == "pskmap"
                     and getattr(module, target.__name__, None) is target):
                 monkeypatch.setattr(module, target.__name__, counted)
-    L, B = geom.L, geom.B
-    conn = levi_civita(L, B)
-    K = curvature(conn, L)
     if geom.exact:
-        all_residuals(L, B, four_dim_candidate(), conn, K)
-        all_residuals(L, B, four_dim_candidate())
+        all_residuals(geom, four_dim_candidate())
     residual_vector(rng.standard_normal(geom.n_unknowns), geom)
     CompiledResidual(geom)
     assert calls == []
 
+
+
+@pytest.mark.parametrize("name", ["four_dim", "flat_plus_ch1"])
+def test_evaluators_share_the_geometry_kernel(monkeypatch, rng, name):
+    # The geometry holds the one DenseExterior (and the CH(n) model, whose
+    # construction builds another); once it is built, no residual, compile
+    # or solve report builds a kernel of its own.
+    geom = GEOMETRIES[name]()
+    built = []
+    original = forms.DenseExterior.__init__
+
+    def counted(self, m):
+        built.append(m)
+        original(self, m)
+
+    monkeypatch.setattr(forms.DenseExterior, "__init__", counted)
+    all_residuals(geom, four_dim_candidate())
+    residual_vector(rng.standard_normal(geom.n_unknowns), geom)
+    CompiledResidual(geom)
+    result = solve(geom, SolveConfig(starts=2, seed=0))
+    assert ("d_p" in result.per_equation) == geom.exact
+    assert built == []
+
+
+@pytest.mark.parametrize("name", ["abelian_r2", "ch1_c1", "ch1_c2", "ch1_c_third", "ch1_cubed",
+                                  "four_dim"])
+def test_check_and_solve_report_the_same_equations(monkeypatch, capsys, name):
+    # check's residuals and solve's per_equation, both on the fixture's own
+    # candidate: one equation list, so the shared names agree exactly and
+    # check's dpq is the larger of solve's d_p and d_q.
+    path = os.path.join(os.path.dirname(__file__), "..", "fixtures", f"{name}.json")
+    af = load_algebra_file(path)
+    geom = build_geometry(af.L, af.B, allow_nonexact=True)
+    res = all_residuals(geom, af.candidate)
+    main(["check", path])
+    report = json.loads(capsys.readouterr().out)
+    if report["status"] != "Precondition":
+        assert report["results"]["residuals"] == res
+    monkeypatch.setattr(solver, "_normalized_candidate", lambda g, x: (af.candidate, ""))
+    per_eq = solve(geom, SolveConfig(starts=1, seed=0)).per_equation
+    for key in ("t_pq", "w_pq", "integrability_1", "integrability_2"):
+        assert per_eq[key] == res[key]
+    assert ("d_p" in per_eq) == geom.exact
+    if geom.exact:
+        assert res["dpq"] == max(per_eq["d_p"], per_eq["d_q"])
 
 class TestJacobian:
     @pytest.mark.parametrize("name", GEOMETRIES)
