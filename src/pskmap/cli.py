@@ -217,7 +217,7 @@ def cmd_cmap(args) -> int:
         raise ParseError("cmap requires a 'candidate' block in the file")
     try:
         Q = qk_algebra(af.L, af.B, af.candidate, tol=args.tol)
-    except (NotExactError, NotKahlerError, DSquaredError) as exc:
+    except (NotExactError, NotKahlerError, DSquaredError, PreconditionError) as exc:
         _emit(Report("cmap", "Precondition", {"error": str(exc)}))
         return EXIT_PRECONDITION
     except NotPSKError as exc:

@@ -257,15 +257,21 @@ def integrability_matrices(geom: Geometry, p: np.ndarray, q: np.ndarray):
 
 
 def residual_matrices(geom: Geometry, p: np.ndarray, q: np.ndarray,
-                      kappa: np.ndarray | None) -> dict:
-    """The residual matrix of every intrinsic equation but torsion, under its
-    one name: t_pq, w_pq, then d_p and d_q when kappa is given, then the
-    kappa-free pair integrability_1 and integrability_2."""
-    out = {"t_pq": tpq_matrix(geom, p, q), "w_pq": wpq_matrix(geom, p, q)}
+                      kappa: np.ndarray | None):
+    """Yield (name, residual matrix) for every intrinsic equation but
+    torsion: t_pq, w_pq, then d_p and d_q when kappa is given, then the
+    kappa-free pair integrability_1 and integrability_2.  Each pair is
+    evaluated only when it is reached, so a reader that stops early pays
+    for no more."""
+    yield "t_pq", tpq_matrix(geom, p, q)
+    yield "w_pq", wpq_matrix(geom, p, q)
     if kappa is not None:
-        out["d_p"], out["d_q"] = dpq_matrices(geom, p, q, kappa)
-    out["integrability_1"], out["integrability_2"] = integrability_matrices(geom, p, q)
-    return out
+        d_p, d_q = dpq_matrices(geom, p, q, kappa)
+        yield "d_p", d_p
+        yield "d_q", d_q
+    r1, r2 = integrability_matrices(geom, p, q)
+    yield "integrability_1", r1
+    yield "integrability_2", r2
 
 
 def rotate(p: np.ndarray, q: np.ndarray, s: float):
@@ -283,6 +289,7 @@ def all_residuals(geom: Geometry, cand: PSKCandidate) -> dict:
     torsion = torsion_residual(geom, p, q)
     if torsion > TORSION * (1.0 + max(max_abs(cand.Sa), max_abs(cand.Sb))):
         raise AssertionError(f"total symmetry should kill torsion, residual {torsion:.3e}")
-    res = {name: max_abs(mat) for name, mat in residual_matrices(geom, p, q, cand.kappa).items()}
-    dpq = max(res.pop("d_p"), res.pop("d_q"))
-    return {"torsion": torsion, "t_pq": res.pop("t_pq"), "w_pq": res.pop("w_pq"), "dpq": dpq, **res}
+    res = {name: max_abs(mat) for name, mat in residual_matrices(geom, p, q, cand.kappa)}
+    return {"torsion": torsion, "t_pq": res["t_pq"], "w_pq": res["w_pq"],
+            "dpq": max(res["d_p"], res["d_q"]),
+            "integrability_1": res["integrability_1"], "integrability_2": res["integrability_2"]}

@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import product
+from itertools import islice, product
 from math import comb
 
 import numpy as np
@@ -83,19 +83,17 @@ class SolveConfig:
 def residual_vector(cand_or_x, geom: Geometry) -> np.ndarray:
     """Deterministic flattening of all residual forms for one candidate.
 
-    The matrices of residual_matrices in its order: the curvature pair,
-    then the derivative pair on exact geometries and the integrability pair
-    on kappa-free ones.
+    The first four matrices of residual_matrices: the curvature pair, then
+    the derivative pair on exact geometries and the integrability pair on
+    kappa-free ones (whose kappa is None).
     """
     if isinstance(cand_or_x, PSKCandidate):
         x = geom.pack(cand_or_x)
     else:
         x = np.asarray(cand_or_x, dtype=float)
     Sa, Sb, kappa = geom.unpack(x)
-    mats = residual_matrices(geom, *pq_from_tensors(Sa, Sb), kappa)
-    if geom.exact:
-        del mats["integrability_1"], mats["integrability_2"]
-    return np.concatenate([mat.ravel() for mat in mats.values()])
+    mats = islice(residual_matrices(geom, *pq_from_tensors(Sa, Sb), kappa), 4)
+    return np.concatenate([mat.ravel() for _, mat in mats])
 
 
 class CompiledResidual:
@@ -289,7 +287,7 @@ def solve(geom: Geometry, cfg: SolveConfig = SolveConfig()) -> SolveResult:
         best_residual=best_res,
         candidate=cand if geom.exact else None,
         gauge_note=note,
-        per_equation={name: max_abs(mat) for name, mat in mats.items()},
+        per_equation={name: max_abs(mat) for name, mat in mats},
         mode="full" if geom.exact else "kappa_free",
         start_residuals=[f[0] for f in finals],
         distinct_orbits=len(orbits),

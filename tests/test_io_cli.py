@@ -290,7 +290,6 @@ def test_cone_verify_rejects_kappa_of_large_constant(tmp_path, capsys, constant)
     assert report["status"] == "Precondition"
 
 
-
 def test_cmap_refuses_an_omega_that_is_not_closed_as_check_does(tmp_path, capsys):
     # Next to a CH(1) constant of 1e3, levi_civita's Kahler-shape bound
     # (relative to the largest constant) lets [A2, B2] = 1e-8 A1 through, but
@@ -303,7 +302,10 @@ def test_cmap_refuses_an_omega_that_is_not_closed_as_check_does(tmp_path, capsys
     assert main(["check", str(path)]) == 3
     assert json.loads(capsys.readouterr().out)["status"] == "NotKahler"
     assert main(["cmap", str(path)]) == 3
-    assert capsys.readouterr().err == "precondition: omega is not closed\n"
+    report = json.loads(capsys.readouterr().out)
+    assert report["status"] == "Precondition"
+    assert report["results"]["error"] == "omega is not closed"
+
 
 def test_cli_runs_without_scipy():
     src = str(Path(pskmap.__file__).resolve().parents[1])

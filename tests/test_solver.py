@@ -155,8 +155,8 @@ def test_intrinsic_side_never_calls_form_kernel(monkeypatch, rng, name):
     # kernel; the cone oracle's ring-coefficient form arithmetic (every
     # product expands pairs in _expand and every result is summed by
     # _canonical; its bracket rules are its own) is its own, so acceptance 6
-    # compares two independent computations.
-    geom = GEOMETRIES[name]()
+    # compares two independent computations.  The geometry is built under
+    # the counters, so levi_civita and curvature are watched too.
     calls = []
     for target in (cone._expand, cone._canonical, cone._bracket_rules):
         def counted(*args, _f=target, **kwargs):
@@ -167,12 +167,12 @@ def test_intrinsic_side_never_calls_form_kernel(monkeypatch, rng, name):
             if (module_name.split(".")[0] == "pskmap"
                     and getattr(module, target.__name__, None) is target):
                 monkeypatch.setattr(module, target.__name__, counted)
+    geom = GEOMETRIES[name]()
     if geom.exact:
         all_residuals(geom, four_dim_candidate())
     residual_vector(rng.standard_normal(geom.n_unknowns), geom)
     CompiledResidual(geom)
     assert calls == []
-
 
 
 @pytest.mark.parametrize("name", ["four_dim", "flat_plus_ch1"])
@@ -218,6 +218,7 @@ def test_check_and_solve_report_the_same_equations(monkeypatch, capsys, name):
     assert ("d_p" in per_eq) == geom.exact
     if geom.exact:
         assert res["dpq"] == max(per_eq["d_p"], per_eq["d_q"])
+
 
 class TestJacobian:
     @pytest.mark.parametrize("name", GEOMETRIES)
