@@ -80,11 +80,13 @@ def _koszul_matrix(L: LieAlgebra) -> np.ndarray:
     return gamma.transpose(2, 1, 0)
 
 
-def _structural_residual(L: LieAlgebra, omega: np.ndarray) -> float:
+def _structural_residual(L: LieAlgebra, omega: np.ndarray,
+                         ext: DenseExterior | None = None) -> float:
     """Max norm of d(theta) + omega ^ theta on the coframe column theta."""
     theta = np.eye(L.dim)[:, None, :]
     dtheta = d_matrix(L, 1).T[:, None, :]
-    return max_abs(dtheta + DenseExterior(L.dim).wedge_matrix(omega, theta, 1, 1))
+    ext = ext or DenseExterior(L.dim)
+    return max_abs(dtheta + ext.wedge_matrix(omega, theta, 1, 1))
 
 
 def _u_shape_residual(omega: np.ndarray, n: int) -> float:
@@ -93,18 +95,20 @@ def _u_shape_residual(omega: np.ndarray, n: int) -> float:
                max_abs(omega[:n, n:] + omega[n:, :n]))
 
 
-def levi_civita(L: LieAlgebra, B: AdaptedBasis) -> ConnectionData:
+def levi_civita(L: LieAlgebra, B: AdaptedBasis, *,
+                ext: DenseExterior | None = None) -> ConnectionData:
     """Connection blocks (mu, lam) of the left-invariant metric.
 
     Raises NotKahlerError when the computed matrix does not commute with
     the complex structure, which is exactly failure of the Kahler
-    condition for the declared J.
+    condition for the declared J.  The structure check wedges on ext, a
+    DenseExterior(L.dim), built there when not given.
     """
     check_adapted(L, B)
     validate_lie_algebra(L)
     omega = _koszul_matrix(L)
     scale = 1.0 + L.max_constant()
-    struct = _structural_residual(L, omega)
+    struct = _structural_residual(L, omega, ext)
     if struct > KOSZUL * scale:
         raise RuntimeError(f"structure equation residual {struct:.3e}; Koszul assembly bug")
     n = B.n
@@ -134,23 +138,26 @@ def kahler_check(L: LieAlgebra, B: AdaptedBasis) -> KahlerReport:
     return KahlerReport(domega_norm=domega, shape_residual=shape)
 
 
-def curvature(C: ConnectionData, L: LieAlgebra) -> CurvatureData:
-    """M = d(mu) + mu^mu - lam^lam and Lam = d(lam) + mu^lam + lam^mu."""
+def curvature(C: ConnectionData, L: LieAlgebra, *,
+              ext: DenseExterior | None = None) -> CurvatureData:
+    """M = d(mu) + mu^mu - lam^lam and Lam = d(lam) + mu^lam + lam^mu,
+    wedged on ext, a DenseExterior(L.dim), built here when not given."""
     D = d_matrix(L, 1)
-    ext = DenseExterior(L.dim)
+    ext = ext or DenseExterior(L.dim)
     wm = lambda X, Y: ext.wedge_matrix(X, Y, 1, 1)
     M = C.mu @ D.T + wm(C.mu, C.mu) - wm(C.lam, C.lam)
     Lam = C.lam @ D.T + wm(C.mu, C.lam) + wm(C.lam, C.mu)
     return CurvatureData(M, Lam)
 
 
-def ch_model(n: int) -> CurvatureData:
+def ch_model(n: int, *, ext: DenseExterior | None = None) -> CurvatureData:
     """Curvature blocks of complex hyperbolic space CH(n) at holomorphic
     sectional curvature -1: M = -a^a^T - b^b^T,
-    Lam = -a^b^T + b^a^T - 2 omega_S id."""
+    Lam = -a^b^T + b^a^T - 2 omega_S id, on ext, a DenseExterior(2n),
+    built here when not given."""
     if n < 1:
         raise PreconditionError("n must be >= 1")
-    ext = DenseExterior(2 * n)
+    ext = ext or DenseExterior(2 * n)
     coframe = np.eye(2 * n)
     a, b = coframe[:n], coframe[n:]
     outer = lambda x, y: ext.wedge(x[:, None], y[None, :], 1, 1)

@@ -186,10 +186,12 @@ class Geometry:
 def build_geometry(L: LieAlgebra, B: AdaptedBasis, *, allow_nonexact: bool = False) -> Geometry:
     """The geometry of (L, B).  Raises NotExactError when omega_S has no
     invariant primitive, unless allow_nonexact is set; a caller that reads a
-    given candidate's kappa, not kappa0, sets it."""
-    conn = levi_civita(L, B)
-    curv = curvature(conn, L)
+    given candidate's kappa, not kappa0, sets it.  The connection, the
+    curvature and the CH(n) model are wedged on the geometry's own ext, so
+    each sign table is built once."""
     ext = DenseExterior(B.dim)
+    conn = levi_civita(L, B, ext=ext)
+    curv = curvature(conn, L, ext=ext)
     try:
         kappa0, kernel = solve_primitive(L, ext.kahler())
         exact = True
@@ -197,7 +199,7 @@ def build_geometry(L: LieAlgebra, B: AdaptedBasis, *, allow_nonexact: bool = Fal
         if not allow_nonexact:
             raise
         kappa0, kernel, exact = None, np.zeros((0, B.dim)), False
-    return Geometry(L=L, B=B, conn=conn, curv=curv, model=ch_model(B.n), ext=ext,
+    return Geometry(L=L, B=B, conn=conn, curv=curv, model=ch_model(B.n, ext=ext), ext=ext,
                     kappa0=kappa0, kernel=kernel, exact=exact)
 
 

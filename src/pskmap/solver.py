@@ -11,7 +11,8 @@ evaluators of intrinsic.py to the stack of basis tensors, one per unknown
 against, and the per-equation report of solve read
 intrinsic.residual_matrices at one point (x -> p, q -> wedges).  Q is held
 as COO triplets, and evaluation and the exact Jacobian take one np.bincount
-over them.
+over them for a whole batch of points; the multi-start search runs its
+starts in lockstep on such batches.
 
 When the invariant Kahler form has no invariant primitive the
 kappa-dependent equations cannot be posed; geometries built with
@@ -54,6 +55,7 @@ from .tolerance import (
     LM_DIAG_FLOOR,
     LM_GRADIENT_STOP,
     LM_MAX_ITERS,
+    LM_MAX_RETRIES,
     LM_RESIDUAL_STOP,
     POLISH_FLOOR,
     POLISH_XTOL,
@@ -170,59 +172,171 @@ class CompiledResidual:
                 add(rows, T + l, u, half)
         self.r0, self.A = r0, A
         self.q_rows, self.q_cols, self.q_vals = (np.concatenate(a) for a in zip(*triplets))
+        # q_rows of S starts, copy s offset by s * R * d; grown on demand and
+        # sliced, since rebuilding it costs more than a one-start bincount.
+        self._batch_rows = self.q_rows
 
-    def _A_plus_Qx(self, x: np.ndarray) -> np.ndarray:
+    def _A_plus_Qx(self, X: np.ndarray) -> np.ndarray:
+        """A + Q x as (S, R, d) for each row x of X (S, d): one np.bincount
+        over S copies of the triplets, so each start's bins are summed in
+        the order of a one-start call."""
+        S, nnz, size = len(X), len(self.q_vals), self.A.size
+        if len(self._batch_rows) < S * nnz:
+            self._batch_rows = (self.q_rows + size * np.arange(S)[:, None]).ravel()
+        weights = (self.q_vals * X.take(self.q_cols, axis=1)).ravel()
         # A is added into the bincount's own output: at n = 4 a second (R, d)
         # temporary costs more than the bincount.
-        out = np.bincount(self.q_rows, weights=self.q_vals * x.take(self.q_cols),
-                          minlength=self.A.size).reshape(self.A.shape)
+        out = np.bincount(self._batch_rows[:S * nnz], weights=weights,
+                          minlength=S * size).reshape((S,) + self.A.shape)
         out += self.A
         return out
 
     def __call__(self, x: np.ndarray) -> np.ndarray:
-        return self.r0 + self._A_plus_Qx(x) @ x
+        """r(x) for one (d,) point, or each row of an (S, d) batch as (S, R)."""
+        X = x.reshape(-1, x.shape[-1])
+        r = self.r0 + (self._A_plus_Qx(X) @ X[:, :, None])[..., 0]
+        return r.reshape(x.shape[:-1] + r.shape[-1:])
 
     def jacobian(self, x: np.ndarray) -> np.ndarray:
-        return self._A_plus_Qx(2.0 * x)
+        """The (R, d) Jacobian at one (d,) point, or (S, R, d) for a batch."""
+        X = x.reshape(-1, x.shape[-1])
+        return self._A_plus_Qx(2.0 * X).reshape(x.shape[:-1] + self.A.shape)
 
 
 # -- damped least squares ---------------------------------------------
 
+# Bound on S * R * d, the floats of one batched Jacobian: solve runs its
+# starts in chunks of at most max(1, LM_BATCH // (R * d)), which keeps the
+# peak memory of the CH(4) solve where a one-start loop had it.
+LM_BATCH = 2 ** 16
+
+# Why a start stopped, in the order of its tests.
+STOP_REASONS = ("residual", "gradient", "iterations", "damping", "retries")
+_RESIDUAL, _GRADIENT, _ITERATIONS, _DAMPING, _RETRIES = range(len(STOP_REASONS))
+
+
+@dataclass(frozen=True)
+class StartStop:
+    """How one start ended: its accepted steps, its final damping and its
+    stop reason, one of STOP_REASONS."""
+
+    iterations: int
+    damping: float
+    reason: str
+
+
+def _solve_one(M: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+    try:
+        return np.linalg.solve(M, rhs)
+    except np.linalg.LinAlgError:
+        return np.linalg.lstsq(M, rhs, rcond=None)[0]
+
+
+def _solve_steps(M: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+    """Steps of an (S, d, d) stack of damped normal equations.  When the
+    stacked solve meets a singular matrix, each start is solved alone, and
+    only the singular ones take the least-squares step."""
+    try:
+        return np.linalg.solve(M, rhs[..., None])[..., 0]
+    except np.linalg.LinAlgError:
+        return np.stack([_solve_one(m, b) for m, b in zip(M, rhs)])
+
+
+def _sq_norms(r: np.ndarray) -> np.ndarray:
+    # A stacked (1, R) @ (R, 1) product: bit-equal to r @ r, which a sum or
+    # an einsum is not.
+    return (r[:, None, :] @ r[:, :, None])[:, 0, 0]
+
 
 def _lm_minimize(fun: CompiledResidual, x0: np.ndarray):
+    """Levenberg-Marquardt from each row of x0, an (S, d) batch of starts.
+
+    The starts run in lockstep, and each keeps its own damping, iteration
+    count, retry count and stop tests, so it takes exactly the steps it
+    would take alone: every batched product here is bit-equal to its
+    one-start form.  A round begins an iteration for each start whose last
+    step was accepted (the iteration cap, the residual and gradient tests,
+    the normal equations), retires the starts that stopped, then lets every
+    live start try one damped step; a rejected step raises the damping,
+    and too much damping or LM_MAX_RETRIES rejections in one iteration stop
+    the start.  Retired starts leave the live arrays.
+
+    Returns the final points (S, d), their max-norm residuals (S,) and a
+    StartStop per start.
+    """
+    S, d = x0.shape
+    x_end, res_end = np.empty((S, d)), np.empty(S)
+    iters_end, lam_end, why_end = np.empty(S, dtype=int), np.empty(S), np.empty(S, dtype=int)
+    eye = np.eye(d)
+    live = np.arange(S)
     x = x0.copy()
-    lam = LM_DAMPING
     r = fun(x)
-    cost = float(r @ r)
-    for _ in range(LM_MAX_ITERS):
-        if np.abs(r).max() < LM_RESIDUAL_STOP:
-            break
-        J = fun.jacobian(x)
-        g = J.T @ r
-        if np.abs(g).max() < LM_GRADIENT_STOP:
-            break
-        H = J.T @ J
-        diag = np.diag(np.maximum(np.diag(H), LM_DIAG_FLOOR))
-        accepted = False
-        for _ in range(60):
-            try:
-                step = np.linalg.solve(H + lam * diag, -g)
-            except np.linalg.LinAlgError:
-                step = np.linalg.lstsq(H + lam * diag, -g, rcond=None)[0]
-            r_new = fun(x + step)
-            cost_new = float(r_new @ r_new)
-            if cost_new < cost:
-                x = x + step
-                r, cost = r_new, cost_new
-                lam = max(lam / 3.0, LM_DAMPING_MIN)
-                accepted = True
+    cost = _sq_norms(r)
+    lam = np.full(S, LM_DAMPING)
+    iters, retries = np.zeros(S, dtype=int), np.zeros(S, dtype=int)
+    # fresh marks the starts whose last step was accepted (the first round
+    # begins every start), accepted counts them; no start has taken more
+    # than `rounds` steps, so the iteration and retry caps are only tested
+    # once rounds reaches them.
+    fresh, accepted, rounds = None, S, 0
+    while True:
+        # Begin an iteration for each fresh start: its stop tests, gradient
+        # and damped normal equations (D is max(diag H, floor) on the diagonal).
+        if accepted:
+            whole = accepted == len(live)
+            sel = slice(None) if whole else fresh
+            rf = r[sel]
+            J = fun.jacobian(x[sel])
+            JT = J.transpose(0, 2, 1)
+            gf = (JT @ rf[:, :, None])[..., 0]
+            Hf = JT @ J
+            Df = np.maximum(Hf, LM_DIAG_FLOOR) * eye
+            codes = np.where(np.abs(rf).max(axis=1) < LM_RESIDUAL_STOP, _RESIDUAL,
+                             np.where(np.abs(gf).max(axis=1) < LM_GRADIENT_STOP, _GRADIENT, -1))
+            if rounds >= LM_MAX_ITERS:
+                codes[iters[sel] == LM_MAX_ITERS] = _ITERATIONS
+            if whole:
+                g, H, D, stop = gf, Hf, Df, codes
+            else:
+                g[sel], H[sel], D[sel], stop[sel] = gf, Hf, Df, codes
+        if stop.max() >= 0:
+            done = stop >= 0
+            out = live[done]
+            x_end[out], res_end[out] = x[done], np.abs(r[done]).max(axis=1)
+            iters_end[out], lam_end[out], why_end[out] = iters[done], lam[done], stop[done]
+            keep = ~done
+            live, x, r, cost, lam, iters, retries, g, H, D = (
+                a[keep] for a in (live, x, r, cost, lam, iters, retries, g, H, D))
+            if not live.size:
                 break
-            lam *= 4.0
-            if lam > LM_DAMPING_MAX:
-                break
-        if not accepted:
-            break
-    return x, float(np.abs(r).max())
+        # One damped step for every live start.
+        rounds += 1
+        x_new = x + _solve_steps(H + lam[:, None, None] * D, -g)
+        r_new = fun(x_new)
+        cost_new = _sq_norms(r_new)
+        fresh = cost_new < cost
+        accepted = int(np.count_nonzero(fresh))
+        if accepted == len(live):
+            x, r, cost = x_new, r_new, cost_new
+            lam = np.maximum(lam / 3.0, LM_DAMPING_MIN)
+            iters += 1
+            retries[:] = 0
+            continue
+        if accepted:
+            x[fresh], r[fresh], cost[fresh] = x_new[fresh], r_new[fresh], cost_new[fresh]
+            lam = np.where(fresh, np.maximum(lam / 3.0, LM_DAMPING_MIN), lam * 4.0)
+            iters += fresh
+            retries += 1
+            retries[fresh] = 0
+        else:
+            lam = lam * 4.0
+            retries += 1
+        stop = np.where(lam > LM_DAMPING_MAX, _DAMPING, -1)
+        if rounds >= LM_MAX_RETRIES:
+            stop[(stop < 0) & (retries == LM_MAX_RETRIES)] = _RETRIES
+    stops = [StartStop(int(i), float(l), STOP_REASONS[w])
+             for i, l, w in zip(iters_end, lam_end, why_end)]
+    return x_end, res_end, stops
 
 
 @dataclass
@@ -235,6 +349,7 @@ class SolveResult:
     mode: str
     start_residuals: list
     distinct_orbits: int
+    start_stops: list
 
 
 def _gauge_angle(Sa: np.ndarray, Sb: np.ndarray):
@@ -249,21 +364,24 @@ def _gauge_angle(Sa: np.ndarray, Sb: np.ndarray):
 def solve(geom: Geometry, cfg: SolveConfig = SolveConfig()) -> SolveResult:
     """Multi-start damped least squares over the candidate unknowns.
 
-    The rotation gauge is left free during optimization (it only creates
-    a flat direction) and normalized after the fact.
+    Start s is drawn from default_rng((seed, s)); the starts run in lockstep
+    in chunks bounded by LM_BATCH, and each start's result does not depend
+    on the chunking.  The rotation gauge is left free during optimization
+    (it only creates a flat direction) and normalized after the fact.
     """
     fun = CompiledResidual(geom)
     d = geom.n_unknowns
-    finals = []
-    best = None
-    for s in range(cfg.starts):
-        rng = np.random.default_rng((cfg.seed, s))
-        x0 = rng.uniform(-1.0, 1.0, size=d)
-        x, res = _lm_minimize(fun, x0)
-        finals.append((res, s, x))
-        if best is None or (res, s) < (best[0], best[1]):
-            best = (res, s, x)
-    best_res, _, best_x = best
+    x0 = np.array([np.random.default_rng((cfg.seed, s)).uniform(-1.0, 1.0, size=d)
+                   for s in range(cfg.starts)])
+    chunk = max(1, LM_BATCH // fun.A.size)
+    xs, residuals, stops = [], [], []
+    for lo in range(0, cfg.starts, chunk):
+        x, res, st = _lm_minimize(fun, x0[lo:lo + chunk])
+        xs.extend(x)
+        residuals.extend(res.tolist())
+        stops.extend(st)
+    finals = list(zip(residuals, range(cfg.starts), xs))
+    best_res, _, best_x = min(finals, key=lambda f: (f[0], f[1]))
 
     solved = [f for f in finals if f[0] < cfg.success_threshold]
     orbits: list = []
@@ -291,6 +409,7 @@ def solve(geom: Geometry, cfg: SolveConfig = SolveConfig()) -> SolveResult:
         mode="full" if geom.exact else "kappa_free",
         start_residuals=[f[0] for f in finals],
         distinct_orbits=len(orbits),
+        start_stops=stops,
     )
 
 

@@ -126,8 +126,8 @@ def test_curvature_lam_scale_caught_by_intrinsic_residuals_only(monkeypatch, cas
     assert max(all_residuals(build_geometry(L, B), cand).values()) < 1e-9
     original = connection_module.curvature
 
-    def bad_curvature(C, L):
-        K = original(C, L)
+    def bad_curvature(C, L, **kwargs):
+        K = original(C, L, **kwargs)
         return connection_module.CurvatureData(K.M, 1.05 * K.Lam)
 
     for name, module in list(sys.modules.items()):

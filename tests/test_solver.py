@@ -34,7 +34,17 @@ from pskmap.solver import (
     scan_curvature,
     solve,
 )
-from pskmap.tolerance import INFEASIBILITY_FLOOR
+from pskmap.tolerance import (
+    INFEASIBILITY_FLOOR,
+    LM_DAMPING,
+    LM_DAMPING_MAX,
+    LM_DAMPING_MIN,
+    LM_DIAG_FLOOR,
+    LM_GRADIENT_STOP,
+    LM_MAX_ITERS,
+    LM_MAX_RETRIES,
+    LM_RESIDUAL_STOP,
+)
 
 
 def _rotated_ch1_squared():
@@ -177,10 +187,9 @@ def test_intrinsic_side_never_calls_form_kernel(monkeypatch, rng, name):
 
 @pytest.mark.parametrize("name", ["four_dim", "flat_plus_ch1"])
 def test_evaluators_share_the_geometry_kernel(monkeypatch, rng, name):
-    # The geometry holds the one DenseExterior (and the CH(n) model, whose
-    # construction builds another); once it is built, no residual, compile
-    # or solve report builds a kernel of its own.
-    geom = GEOMETRIES[name]()
+    # The geometry holds the one DenseExterior, which its connection,
+    # curvature and CH(n) model are built on too; once it is built, no
+    # residual, compile or solve report builds a kernel of its own.
     built = []
     original = forms.DenseExterior.__init__
 
@@ -189,6 +198,9 @@ def test_evaluators_share_the_geometry_kernel(monkeypatch, rng, name):
         original(self, m)
 
     monkeypatch.setattr(forms.DenseExterior, "__init__", counted)
+    geom = GEOMETRIES[name]()
+    assert built == [2 * geom.n]
+    built.clear()
     all_residuals(geom, four_dim_candidate())
     residual_vector(rng.standard_normal(geom.n_unknowns), geom)
     CompiledResidual(geom)
@@ -274,6 +286,174 @@ class TestJacobian:
             xr = np.concatenate([Ra, Rb, x[2 * t:]])
             rotated = np.linalg.norm(residual_vector(xr, geom))
             assert abs(base - rotated) < 1e-9 * (1 + base)
+
+
+# Geometries the batched search is checked on: points of the CH(1) family
+# (infeasible, and feasible at 2/sqrt(3) and 2), the kappa-free R^2 x CH(1)
+# at c = 2 (every start stops on damping) and c = 1.4 (on the iteration
+# cap), the CH(2) model and four_dim.
+LM_GEOMETRIES = {
+    "ch1_c1.3": lambda: build_geometry(*ch1(1.3)),
+    "ch1_c_special": lambda: build_geometry(*ch1(2.0 / math.sqrt(3.0))),
+    "ch1_c2": lambda: build_geometry(*ch1(2.0)),
+    "flat_ch1_c2": lambda: build_geometry(*flat_plus_ch1(2.0), allow_nonexact=True),
+    "flat_ch1_c1.4": lambda: build_geometry(*flat_plus_ch1(1.4), allow_nonexact=True),
+    "ch2_model": lambda: build_geometry(*complex_hyperbolic(2)),
+    "four_dim": lambda: build_geometry(*four_dim_example()),
+}
+
+
+def _starts(geom, count, seed=5):
+    return np.array([np.random.default_rng((seed, s)).uniform(-1.0, 1.0, size=geom.n_unknowns)
+                     for s in range(count)])
+
+
+def _one_start_lm(fun, x0, max_retries=LM_MAX_RETRIES):
+    """Reference: the one-start Levenberg-Marquardt loop, with the reason it
+    stops; returns what _lm_minimize returns for a batch of one start."""
+    x, lam, iters, reason = x0.copy(), LM_DAMPING, 0, "iterations"
+    r = fun(x)
+    cost = float(r @ r)
+    for _ in range(LM_MAX_ITERS):
+        if np.abs(r).max() < LM_RESIDUAL_STOP:
+            reason = "residual"
+            break
+        J = fun.jacobian(x)
+        g = J.T @ r
+        if np.abs(g).max() < LM_GRADIENT_STOP:
+            reason = "gradient"
+            break
+        H = J.T @ J
+        diag = np.diag(np.maximum(np.diag(H), LM_DIAG_FLOOR))
+        accepted = False
+        for _ in range(max_retries):
+            try:
+                step = np.linalg.solve(H + lam * diag, -g)
+            except np.linalg.LinAlgError:
+                step = np.linalg.lstsq(H + lam * diag, -g, rcond=None)[0]
+            r_new = fun(x + step)
+            cost_new = float(r_new @ r_new)
+            if cost_new < cost:
+                x, r, cost = x + step, r_new, cost_new
+                lam = max(lam / 3.0, LM_DAMPING_MIN)
+                iters += 1
+                accepted = True
+                break
+            lam *= 4.0
+            if lam > LM_DAMPING_MAX:
+                break
+        if not accepted:
+            reason = "damping" if lam > LM_DAMPING_MAX else "retries"
+            break
+    return x[None], np.array([np.abs(r).max()]), [solver.StartStop(iters, lam, reason)]
+
+
+def _concat_searches(results):
+    points, residuals, stops = zip(*results)
+    return np.concatenate(points), np.concatenate(residuals), sum(stops, [])
+
+
+def _assert_same_search(a, b):
+    """Two _lm_minimize results (points, residuals, stops) agree bit for bit."""
+    assert np.array_equal(a[0], b[0])
+    assert np.array_equal(a[1], b[1])
+    assert a[2] == b[2]
+
+
+class TestBatchedSearch:
+    @pytest.mark.parametrize("name", GEOMETRIES)
+    def test_batch_rows_equal_single_calls(self, rng, name):
+        geom = GEOMETRIES[name]()
+        fun = CompiledResidual(geom)
+        X = rng.standard_normal((5, geom.n_unknowns))
+        r, J = fun(X), fun.jacobian(X)
+        assert r.shape == (5, len(fun.r0)) and J.shape == (5,) + fun.A.shape
+        for x, r_x, J_x in zip(X, r, J):
+            assert np.array_equal(r_x, fun(x))
+            assert np.array_equal(J_x, fun.jacobian(x))
+        # a smaller batch after a larger one reads a slice of the offsets
+        assert np.array_equal(fun(X[:2]), r[:2])
+
+    @pytest.mark.parametrize("name", LM_GEOMETRIES)
+    def test_batch_equals_one_start_batches(self, name):
+        # ... and the one-start loop itself, stop reasons included.
+        geom = LM_GEOMETRIES[name]()
+        fun = CompiledResidual(geom)
+        X = _starts(geom, 7)
+        batched = solver._lm_minimize(fun, X)
+        _assert_same_search(batched, _concat_searches(
+            solver._lm_minimize(fun, X[s:s + 1]) for s in range(len(X))))
+        _assert_same_search(batched, _concat_searches(_one_start_lm(fun, x) for x in X))
+
+    @pytest.mark.parametrize("name", ["ch1_c1.3", "flat_ch1_c2", "ch2_model"])
+    def test_retry_cap(self, monkeypatch, name):
+        # From damping 1e-14, 47 rejections pass LM_DAMPING_MAX, so a start
+        # meets the cap of 60 only when it is lowered.
+        geom = LM_GEOMETRIES[name]()
+        fun = CompiledResidual(geom)
+        X = _starts(geom, 7)
+        monkeypatch.setattr(solver, "LM_MAX_RETRIES", 2)
+        batched = solver._lm_minimize(fun, X)
+        _assert_same_search(batched, _concat_searches(_one_start_lm(fun, x, 2) for x in X))
+        assert "retries" in {stop.reason for stop in batched[2]}
+
+    @pytest.mark.parametrize("name", LM_GEOMETRIES)
+    def test_solve_does_not_depend_on_chunking(self, monkeypatch, name):
+        # 7 starts in one chunk, in chunks of 3 (3 + 3 + 1) and one at a time.
+        geom = LM_GEOMETRIES[name]()
+        size = CompiledResidual(geom).A.size
+        cfg = SolveConfig(starts=7, seed=5)
+        results = []
+        for batch in (solver.LM_BATCH, 3 * size, 1):
+            monkeypatch.setattr(solver, "LM_BATCH", batch)
+            results.append(solve(geom, cfg))
+        first = results[0]
+        for other in results[1:]:
+            assert other.start_residuals == first.start_residuals
+            assert other.start_stops == first.start_stops
+            assert other.best_residual == first.best_residual
+            assert other.per_equation == first.per_equation
+
+    def test_start_stops(self):
+        stops = solve(LM_GEOMETRIES["ch1_c2"](), SolveConfig(starts=4, seed=1)).start_stops
+        assert [s.reason for s in stops] == ["residual"] * 4
+        stops = solve(LM_GEOMETRIES["flat_ch1_c2"](), SolveConfig(starts=4, seed=1)).start_stops
+        assert [s.reason for s in stops] == ["damping"] * 4
+        assert all(s.damping > LM_DAMPING_MAX for s in stops)
+        stops = solve(LM_GEOMETRIES["flat_ch1_c1.4"](), SolveConfig(starts=2, seed=1)).start_stops
+        assert [(s.iterations, s.reason) for s in stops] == [(LM_MAX_ITERS, "iterations")] * 2
+
+    def test_singular_stack_falls_back_per_start(self, rng):
+        # One singular matrix in the stack: it takes the least-squares step,
+        # and every other start the step it would take alone.
+        M = rng.standard_normal((4, 3, 3))
+        M[2] = np.outer([1.0, 2.0, 3.0], [1.0, -1.0, 0.5])
+        rhs = rng.standard_normal((4, 3))
+        steps = solver._solve_steps(M, rhs)
+        for s in (0, 1, 3):
+            assert np.array_equal(steps[s], np.linalg.solve(M[s], rhs[s]))
+        assert np.array_equal(steps[2], np.linalg.lstsq(M[2], rhs[2], rcond=None)[0])
+
+    @pytest.mark.parametrize("name", ["ch1_c1.3", "flat_ch1_c2", "four_dim"])
+    def test_stacked_solve_failure_changes_no_start(self, monkeypatch, name):
+        # Every stacked solve raises LinAlgError, so every round solves
+        # each start alone: the search is the same, bit for bit.
+        geom = LM_GEOMETRIES[name]()
+        fun = CompiledResidual(geom)
+        X = _starts(geom, 5)
+        expected = solver._lm_minimize(fun, X)
+        solve_one = np.linalg.solve
+        stacked = []
+
+        def failing(M, b):
+            if M.ndim == 3:
+                stacked.append(len(M))
+                raise np.linalg.LinAlgError("Singular matrix")
+            return solve_one(M, b)
+
+        monkeypatch.setattr(np.linalg, "solve", failing)
+        _assert_same_search(solver._lm_minimize(fun, X), expected)
+        assert stacked and stacked[0] == 5
 
 
 class TestSolve:
