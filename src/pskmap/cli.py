@@ -148,20 +148,16 @@ def cmd_scan(args) -> int:
         values = args.values
         if not values:
             raise ParseError("empty --values list")
-        lo = hi = 0.0
-        steps = len(values)
     else:
         if args.range is None:
             raise ParseError("scan needs --range LO HI or --values")
         lo, hi = args.range
         if not hi > lo or args.steps < 2:
             raise ParseError("scan range must satisfy lo < hi and steps >= 2")
-        values = None
-        steps = args.steps
+        values = [lo + (hi - lo) * i / (args.steps - 1) for i in range(args.steps)]
     cfg = SolveConfig(starts=args.starts, seed=args.seed,
                       success_threshold=args.tol)
-    result = scan_curvature(family, lo, hi, steps, cfg, values=values,
-                            polish=not args.no_polish)
+    result = scan_curvature(family, values, cfg, polish=not args.no_polish)
     table = "\n".join(f"{p.parameter:.12g}\t{p.best_residual:.17g}"
                       for p in result.points)
     if args.table:

@@ -5,9 +5,10 @@ array over all_keys(m, k) (strictly increasing 1-based index tuples in
 lexicographic order), and a matrix of forms is an array with the key axis
 last.  DenseExterior holds the (k, l) sign tables that wedge products
 contract with.  The connection, the curvature, p and q, kappa and the
-closed one-forms, the residuals and the solver's compile all live on it;
-the cone oracle and the twist lift these arrays into their own
-ring-coefficient forms (cone.CForm).
+closed one-forms and the residuals all live on it, and the solver's
+compile reads the (1, 1) table to emit its quadratic term from the
+non-zeros of sparse stacks; the cone oracle and the twist lift these
+arrays into their own ring-coefficient forms (cone.CForm).
 
 Basis ordering convention: indices 1..n are the a-forms, n+1..2n the
 b-forms; when a cone is attached, 2n+1 and 2n+2 are the two extra
@@ -60,9 +61,9 @@ class DenseExterior:
 
     A degree-k form is a float array of length comb(m, k) over
     all_keys(m, k); a matrix of forms is an array with the key axis last.
-    Every product is a broadcast, a two-operand einsum or tensordots, and
-    one matrix product with the (k, l) sign table, so no call searches for
-    an einsum path.  The tables are built on first use and belong to the
+    Every product is a broadcast or a two-operand einsum, and one matrix
+    product with the (k, l) sign table, so no call searches for an einsum
+    path.  The tables are built on first use and belong to the
     instance, so their lifetime is the caller's.
     """
 
@@ -120,14 +121,3 @@ class DenseExterior:
         """Matrix product with the wedge, X (..., r, s, *) by Y (..., s, c, *),
         over broadcast leading axes."""
         return self._contract(np.einsum("...rsa,...scb->...rcab", X, Y), k, l)
-
-    def pair_wedge_matrix(self, X: np.ndarray, Y: np.ndarray, k: int, l: int) -> np.ndarray:
-        """All pairwise matrix wedges of two stacks: out[r, c, o, u, v] is
-        entry (r, c), key o of X[u] ^ Y[v].
-
-        The sign table is contracted into X first, so that the sum over the
-        inner index and Y's keys is one matrix product."""
-        signs = self.table(k, l).reshape(X.shape[-1], Y.shape[-1], -1)
-        XS = np.tensordot(X, signs, axes=(3, 0))                # (u, r, s, b, o)
-        prod = np.tensordot(XS, Y, axes=([2, 3], [1, 3]))       # (u, r, o, v, c)
-        return prod.transpose(1, 4, 2, 0, 3)

@@ -227,20 +227,16 @@ def wpq_matrix(geom: Geometry, p: np.ndarray, q: np.ndarray) -> np.ndarray:
     return geom.curv.Lam + wm(p, q) - wm(q, p) - geom.model.Lam
 
 
-def kappa_terms(geom: Geometry, kappa: np.ndarray, p: np.ndarray, q: np.ndarray):
-    """The kappa terms (4 kappa^q, -4 kappa^p) of the derivative pair."""
-    s4 = 4.0 * KAPPA_TERM_SIGN
-    return s4 * geom.ext.wedge(kappa, q, 1, 1), -s4 * geom.ext.wedge(kappa, p, 1, 1)
-
-
 def dpq_matrices(geom: Geometry, p: np.ndarray, q: np.ndarray, kappa: np.ndarray):
     """Left-hand sides of the derivative pair for (p, q, kappa)."""
     D = d_matrix(geom.L, 1)
     mu, lam = geom.conn.mu, geom.conn.lam
     wm = lambda X, Y: geom.ext.wedge_matrix(X, Y, 1, 1)
-    kp, kq = kappa_terms(geom, kappa, p, q)
-    rp = p @ D.T + wm(mu, p) + wm(p, mu) + wm(lam, q) - wm(q, lam) + kp
-    rq = q @ D.T + wm(mu, q) + wm(q, mu) - wm(lam, p) + wm(p, lam) + kq
+    s4 = 4.0 * KAPPA_TERM_SIGN
+    rp = (p @ D.T + wm(mu, p) + wm(p, mu) + wm(lam, q) - wm(q, lam)
+          + s4 * geom.ext.wedge(kappa, q, 1, 1))
+    rq = (q @ D.T + wm(mu, q) + wm(q, mu) - wm(lam, p) + wm(p, lam)
+          - s4 * geom.ext.wedge(kappa, p, 1, 1))
     return rp, rq
 
 

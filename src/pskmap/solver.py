@@ -25,11 +25,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import islice, product
+from itertools import islice
 from math import comb
 
 import numpy as np
 
+from . import intrinsic
 from .forms import max_abs
 from .intrinsic import (
     Geometry,
@@ -37,7 +38,6 @@ from .intrinsic import (
     build_geometry,
     dpq_matrices,
     integrability_matrices,
-    kappa_terms,
     pq_from_tensors,
     residual_matrices,
     rotate,
@@ -55,7 +55,6 @@ from .tolerance import (
     LM_DIAG_FLOOR,
     LM_GRADIENT_STOP,
     LM_MAX_ITERS,
-    LM_MAX_RETRIES,
     LM_RESIDUAL_STOP,
     POLISH_FLOOR,
     POLISH_XTOL,
@@ -98,6 +97,54 @@ def residual_vector(cand_or_x, geom: Geometry) -> np.ndarray:
     return np.concatenate([mat.ravel() for _, mat in mats])
 
 
+def _wedge_triplets(ext, d: int, lefts: list, rights: list, rows: np.ndarray,
+                    scales: np.ndarray):
+    """Sorted triplets (q_rows, q_cols, q_vals) of the quadratic terms
+    scales[a, b] x[u] x[v] X[u] ^ Y[v], X[u] of lefts[a] and Y[v] of rights[b].
+
+    lefts and rights list (first unknown, stack), a stack being (U, n, n, m)
+    matrices of one-forms; entry (i, j), key k of a term is row
+    rows[a, b] + (i * n + j) * comb(m, 2) + k.  The non-zeros of X and Y are
+    joined on the inner index, the key and sign read off ext's (1, 1) table,
+    each value split evenly between (u, v) and (v, u), and equal (row, u, v)
+    summed: exactly, as basis entries are 0 or +-1 and a kernel row meets at
+    most two products per triplet, so the order of summation does not matter.
+    """
+    n = lefts[0][1].shape[1]
+    signs = ext.table(1, 1)
+    key, sign, c2 = np.abs(signs).argmax(axis=1), signs.sum(axis=1), signs.shape[1]
+
+    def nonzeros(stacks, inner):
+        # (inner index, stack, unknown, outer index, form index, value) of
+        # every non-zero, ordered by the inner index.
+        X = np.moveaxis(np.concatenate([S for _, S in stacks]), inner, 0)
+        s, w, o, f = np.nonzero(X)
+        which = np.repeat(np.arange(len(stacks)), [len(S) for _, S in stacks])
+        unknown = np.concatenate([first + np.arange(len(S)) for first, S in stacks])
+        return s, which[w], unknown[w], o, f, X[s, w, o, f]
+
+    sX, a, u, i, fX, vX = nonzeros(lefts, 2)
+    sY, b, v, j, fY, vY = nonzeros(rights, 1)
+    # Pair each left non-zero with the right ones of its inner index.
+    count = np.bincount(sY, minlength=n)
+    start, reps = np.cumsum(count) - count, count[sX]
+    left = np.repeat(np.arange(len(sX)), reps)
+    right = np.arange(len(left)) - np.repeat(np.cumsum(reps) - reps - start[sX], reps)
+    term, form = a[left] * len(rights) + b[right], fX[left] * ext.m + fY[right]
+    row = rows.ravel()[term] + (i[left] * n + j[right]) * c2 + key[form]
+    val = 0.5 * scales.ravel()[term] * sign[form] * vX[left] * vY[right]
+    u, v = u[left], v[right]
+    # The sort below sets the compile's peak memory: free what it does not read.
+    del left, right, term, form
+    row *= d
+    flat = np.concatenate([(row + u) * d + v, (row + v) * d + u])
+    del row, u, v
+    flat, inverse = np.unique(flat, return_inverse=True)
+    total = np.bincount(inverse, weights=np.concatenate([val, val]))
+    keep = total != 0
+    return flat[keep] // d, flat[keep] % d, total[keep]
+
+
 class CompiledResidual:
     """r(x) = r0 + A x + x.Q.x with Q symmetric in its last two axes.
 
@@ -106,30 +153,23 @@ class CompiledResidual:
     pq_from_tensors of the identity, and kappa is affine in the kernel
     coefficients.  r0 is the evaluators at p = q = 0; the linear blocks of A
     are the evaluators dpq_matrices (at kappa0) or integrability_matrices
-    applied to the basis stack, and the kappa cross terms kappa_terms of the
-    kernel rows with it; the curvature pair, quadratic, is wedged pairwise
-    from the stack.  The row order is that of residual_vector.  Q is over 99% zeros,
-    so Q[r, i, j] = v is held as the triplet (q_rows, q_cols, q_vals) =
-    (r * d + i, j, v), with (i, j) and (j, i) both kept.  One np.bincount
-    gives Qx = Q x as (R, d): r = r0 + (A + Qx) x and the Jacobian is
-    A + 2 Qx = A + Q(2x).
+    applied to the basis stack; every quadratic term is a matrix wedge of two
+    stacks over the unknowns, emitted by _wedge_triplets.  The row order is
+    that of residual_vector.  Q is over 99% zeros, so Q[r, i, j] = v is held
+    as the triplet (q_rows, q_cols, q_vals) = (r * d + i, j, v), sorted, with
+    (i, j) and (j, i) both kept.  One np.bincount gives Qx = Q x as (R, d):
+    r = r0 + (A + Qx) x and the Jacobian is A + 2 Qx = A + Q(2x).
     """
 
     def __init__(self, geom: Geometry):
         n, m, t = geom.n, geom.L.dim, geom.n_tensor
         T, d = 2 * t, geom.n_unknowns
-        ext = geom.ext
         basis = np.eye(T)
         ps, qs = pq_from_tensors(basis[:, :t], basis[:, t:])
-        c2 = comb(m, 2)
-        block = n * n * c2
+        block = n * n * comb(m, 2)
         second = n * n * comb(m, 2 if geom.exact else 3)
         R = 2 * block + 2 * second
         r0, A = np.zeros(R), np.zeros((R, d))
-        triplets = []
-
-        def add(rows, i, j, vals):
-            triplets.append((rows * d + i, j, vals))
 
         # Second pair: its block of A is the evaluators applied to the basis
         # stack, built first, while no triplet is held, to keep the peak low.
@@ -144,34 +184,17 @@ class CompiledResidual:
         r0[:block] = tpq_matrix(geom, zero, zero).ravel()
         r0[block:2 * block] = wpq_matrix(geom, zero, zero).ravel()
 
-        def add_symmetrised(start, X1, Y1, X2, Y2, sign):
-            prod = (ext.pair_wedge_matrix(X1, Y1, 1, 1)
-                    + sign * ext.pair_wedge_matrix(X2, Y2, 1, 1)).reshape(c2, T, T)
-            sym = 0.5 * (prod + prod.transpose(0, 2, 1))
-            key, u, v = np.nonzero(sym)
-            add(start + key, u, v, sym[key, u, v])
-
-        # One matrix entry at a time keeps the temporaries small.
-        for i, j in product(range(n), repeat=2):
-            p_i, q_i = ps[:, i:i + 1], qs[:, i:i + 1]
-            p_j, q_j = ps[:, :, j:j + 1], qs[:, :, j:j + 1]
-            entry = (i * n + j) * c2
-            add_symmetrised(entry, p_i, p_j, q_i, q_j, 1.0)
-            add_symmetrised(block + entry, p_i, q_j, q_i, p_j, -1.0)
-
-        if geom.exact:
-            # Second pair, kappa cross terms: 4 kappa_l ^ q_u (or -4 kappa_l ^ p_u),
-            # split evenly between Q[:, u, T + l] and Q[:, T + l, u]
-            ks = geom.kernel.reshape(-1, 1, 1, 1, m)
-            for h, term in enumerate(kappa_terms(geom, ks, ps, qs)):
-                term = term.reshape(len(geom.kernel), T, second)
-                l, u, row = np.nonzero(term)
-                half = 0.5 * term[l, u, row]
-                rows = 2 * block + h * second + row
-                add(rows, u, T + l, half)
-                add(rows, T + l, u, half)
+        # Quadratic terms, left stack by right stack: p^p + q^q and p^q - q^p
+        # into the curvature pair; 4 kappa_l ^ q into d_p and -4 kappa_l ^ p
+        # into d_q, kappa_l Id the stack of kernel rows (none when kappa-free).
+        # The sign is read here, at call time, as dpq_matrices reads it.
+        s4 = 4.0 * intrinsic.KAPPA_TERM_SIGN
+        kernel_id = geom.kernel[:, None, None, :] * np.eye(n)[:, :, None]
+        self.q_rows, self.q_cols, self.q_vals = _wedge_triplets(
+            geom.ext, d, [(0, ps), (0, qs), (T, kernel_id)], [(0, ps), (0, qs)],
+            rows=np.array([[0, block], [block, 0], [2 * block + second, 2 * block]]),
+            scales=np.array([[1.0, 1.0], [-1.0, 1.0], [-s4, s4]]))
         self.r0, self.A = r0, A
-        self.q_rows, self.q_cols, self.q_vals = (np.concatenate(a) for a in zip(*triplets))
         # q_rows of S starts, copy s offset by s * R * d; grown on demand and
         # sliced, since rebuilding it costs more than a one-start bincount.
         self._batch_rows = self.q_rows
@@ -211,8 +234,8 @@ class CompiledResidual:
 LM_BATCH = 2 ** 16
 
 # Why a start stopped, in the order of its tests.
-STOP_REASONS = ("residual", "gradient", "iterations", "damping", "retries")
-_RESIDUAL, _GRADIENT, _ITERATIONS, _DAMPING, _RETRIES = range(len(STOP_REASONS))
+STOP_REASONS = ("residual", "gradient", "iterations", "damping")
+_RESIDUAL, _GRADIENT, _ITERATIONS, _DAMPING = range(len(STOP_REASONS))
 
 
 @dataclass(frozen=True)
@@ -252,14 +275,14 @@ def _lm_minimize(fun: CompiledResidual, x0: np.ndarray):
     """Levenberg-Marquardt from each row of x0, an (S, d) batch of starts.
 
     The starts run in lockstep, and each keeps its own damping, iteration
-    count, retry count and stop tests, so it takes exactly the steps it
-    would take alone: every batched product here is bit-equal to its
-    one-start form.  A round begins an iteration for each start whose last
-    step was accepted (the iteration cap, the residual and gradient tests,
-    the normal equations), retires the starts that stopped, then lets every
-    live start try one damped step; a rejected step raises the damping,
-    and too much damping or LM_MAX_RETRIES rejections in one iteration stop
-    the start.  Retired starts leave the live arrays.
+    count and stop tests, so it takes exactly the steps it would take
+    alone: every batched product here is bit-equal to its one-start form.
+    A round begins an iteration for each start whose last step was accepted
+    (the iteration cap, the residual and gradient tests, the normal
+    equations), retires the starts that stopped, then lets every live start
+    try one damped step; a rejected step raises the damping, and a damping
+    past LM_DAMPING_MAX stops the start.  Retired starts leave the live
+    arrays.
 
     Returns the final points (S, d), their max-norm residuals (S,) and a
     StartStop per start.
@@ -273,11 +296,11 @@ def _lm_minimize(fun: CompiledResidual, x0: np.ndarray):
     r = fun(x)
     cost = _sq_norms(r)
     lam = np.full(S, LM_DAMPING)
-    iters, retries = np.zeros(S, dtype=int), np.zeros(S, dtype=int)
+    iters = np.zeros(S, dtype=int)
     # fresh marks the starts whose last step was accepted (the first round
     # begins every start), accepted counts them; no start has taken more
-    # than `rounds` steps, so the iteration and retry caps are only tested
-    # once rounds reaches them.
+    # than `rounds` steps, so the iteration cap is only tested once rounds
+    # reaches it.
     fresh, accepted, rounds = None, S, 0
     while True:
         # Begin an iteration for each fresh start: its stop tests, gradient
@@ -305,8 +328,8 @@ def _lm_minimize(fun: CompiledResidual, x0: np.ndarray):
             x_end[out], res_end[out] = x[done], np.abs(r[done]).max(axis=1)
             iters_end[out], lam_end[out], why_end[out] = iters[done], lam[done], stop[done]
             keep = ~done
-            live, x, r, cost, lam, iters, retries, g, H, D = (
-                a[keep] for a in (live, x, r, cost, lam, iters, retries, g, H, D))
+            live, x, r, cost, lam, iters, g, H, D = (
+                a[keep] for a in (live, x, r, cost, lam, iters, g, H, D))
             if not live.size:
                 break
         # One damped step for every live start.
@@ -320,20 +343,14 @@ def _lm_minimize(fun: CompiledResidual, x0: np.ndarray):
             x, r, cost = x_new, r_new, cost_new
             lam = np.maximum(lam / 3.0, LM_DAMPING_MIN)
             iters += 1
-            retries[:] = 0
             continue
         if accepted:
             x[fresh], r[fresh], cost[fresh] = x_new[fresh], r_new[fresh], cost_new[fresh]
             lam = np.where(fresh, np.maximum(lam / 3.0, LM_DAMPING_MIN), lam * 4.0)
             iters += fresh
-            retries += 1
-            retries[fresh] = 0
         else:
             lam = lam * 4.0
-            retries += 1
         stop = np.where(lam > LM_DAMPING_MAX, _DAMPING, -1)
-        if rounds >= LM_MAX_RETRIES:
-            stop[(stop < 0) & (retries == LM_MAX_RETRIES)] = _RETRIES
     stops = [StartStop(int(i), float(l), STOP_REASONS[w])
              for i, l, w in zip(iters_end, lam_end, why_end)]
     return x_end, res_end, stops
@@ -456,20 +473,16 @@ class ScanResult:
     polished: list
 
 
-def scan_curvature(family, lo: float, hi: float, steps: int,
-                   cfg: SolveConfig = SolveConfig(), *, values=None,
+def scan_curvature(family, values, cfg: SolveConfig = SolveConfig(), *,
                    polish: bool = True) -> ScanResult:
-    """Residual landscape of a one-parameter family of Kahler algebras.
+    """Residual landscape of a one-parameter family of Kahler algebras at
+    the parameters values.
 
     Grid minima below tolerance.POLISH_FLOOR are refined by golden-section search
     on the best-residual function, so feasible parameters need not sit
     on the grid.  Geometries whose Kahler form is not exact fall back to
     the kappa-free stack.
     """
-    if values is None:
-        if steps < 2 or not (hi > lo):
-            raise PreconditionError("bad scan range")
-        values = [lo + (hi - lo) * i / (steps - 1) for i in range(steps)]
     values = list(values)
 
     def best_at(param: float) -> tuple:

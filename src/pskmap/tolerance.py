@@ -68,11 +68,10 @@ POLISH_FLOOR = 0.5
 # ... until the bracket is narrower than this.
 POLISH_XTOL = 1e-9
 
-# Levenberg-Marquardt: iteration cap, rejected steps allowed in one
-# iteration, initial damping and its clamps, the residual and gradient sizes
-# that stop a start, and the floor of the scaling diagonal.
+# Levenberg-Marquardt: iteration cap, initial damping and its clamps (a
+# start whose damping passes LM_DAMPING_MAX stops), the residual and gradient
+# sizes that stop a start, and the floor of the scaling diagonal.
 LM_MAX_ITERS = 500
-LM_MAX_RETRIES = 60
 LM_DAMPING = 1e-3
 LM_DAMPING_MIN = 1e-14
 LM_DAMPING_MAX = 1e14

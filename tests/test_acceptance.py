@@ -97,7 +97,8 @@ def test_criterion_2_curvature_ledger():
 def test_criterion_3_ch1_feasibility_scan():
     start = time.monotonic()
     cfg = SolveConfig(starts=16, seed=11)
-    result = scan_curvature(lambda c: ch1(c), 1.0, 3.0, 101, cfg, polish=True)
+    grid = [1.0 + (3.0 - 1.0) * i / 100 for i in range(101)]
+    result = scan_curvature(lambda c: ch1(c), grid, cfg, polish=True)
     feasible = sorted(result.feasible)
     assert len(feasible) == 2, feasible
     assert abs(feasible[0] - C_SPECIAL) < 1e-3

@@ -2,11 +2,12 @@ import json
 import math
 import os
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from pskmap import cone, forms, solver
+from pskmap import cone, forms, intrinsic, solver
 from pskmap.catalog import (
     _unitary_conjugation,
     ch1,
@@ -42,7 +43,6 @@ from pskmap.tolerance import (
     LM_DIAG_FLOOR,
     LM_GRADIENT_STOP,
     LM_MAX_ITERS,
-    LM_MAX_RETRIES,
     LM_RESIDUAL_STOP,
 )
 
@@ -157,6 +157,48 @@ def test_ch4_quadratic_term_is_held_sparse():
     np.add.at(dense, (fun.q_rows, fun.q_cols), fun.q_vals)
     assert dense.nbytes > 24_000_000
     assert np.count_nonzero(dense) == len(fun.q_vals)
+
+
+def test_ch6_compiled_matches_direct(rng):
+    geom = build_geometry(*complex_hyperbolic(6))
+    fun = CompiledResidual(geom)
+    for _ in range(3):
+        x = rng.standard_normal(geom.n_unknowns)
+        assert np.abs(fun(x) - residual_vector(x, geom)).max() < 1e-12
+
+
+def test_ch6_compile_peak_memory():
+    # The quadratic term is emitted from the basis stack's non-zeros, so the
+    # traced peak of the CH(6) compile stays within 2.5 times the arrays it
+    # keeps (12.6 MB, most of it the dense A): about 2.2 times here, where
+    # a dense (c2, T, T) block per matrix entry took the peak to 2.9 times.
+    geom = build_geometry(*complex_hyperbolic(6))
+    tracemalloc.start()
+    try:
+        fun = CompiledResidual(geom)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    kept = sum(a.nbytes for a in (fun.r0, fun.A, fun.q_rows, fun.q_cols, fun.q_vals))
+    assert peak < 2.5 * kept
+
+
+@pytest.mark.parametrize("algebra", [four_dim_example, lambda: ch1(2.0 / math.sqrt(3.0))],
+                         ids=["four_dim", "ch1_c_special"])
+def test_compile_reads_the_kappa_term_sign_at_call_time(monkeypatch, rng, algebra):
+    # The kappa cross terms of the compile read intrinsic.KAPPA_TERM_SIGN
+    # when they are emitted, as dpq_matrices does: with the sign flipped the
+    # compile still matches the direct evaluation, and differs from the
+    # compile under the supported sign.
+    geom = build_geometry(*algebra())
+    assert len(geom.kernel) > 0
+    X = rng.standard_normal((5, geom.n_unknowns))
+    supported = CompiledResidual(geom)(X)
+    monkeypatch.setattr(intrinsic, "KAPPA_TERM_SIGN", -1.0)
+    fun = CompiledResidual(geom)
+    for x, r in zip(X, supported):
+        assert np.abs(fun(x) - residual_vector(x, geom)).max() < 1e-12
+        assert np.abs(fun(x) - r).max() > 1e-3
 
 
 @pytest.mark.parametrize("name", ["four_dim", "flat_plus_ch1"])
@@ -308,7 +350,7 @@ def _starts(geom, count, seed=5):
                      for s in range(count)])
 
 
-def _one_start_lm(fun, x0, max_retries=LM_MAX_RETRIES):
+def _one_start_lm(fun, x0):
     """Reference: the one-start Levenberg-Marquardt loop, with the reason it
     stops; returns what _lm_minimize returns for a batch of one start."""
     x, lam, iters, reason = x0.copy(), LM_DAMPING, 0, "iterations"
@@ -326,7 +368,7 @@ def _one_start_lm(fun, x0, max_retries=LM_MAX_RETRIES):
         H = J.T @ J
         diag = np.diag(np.maximum(np.diag(H), LM_DIAG_FLOOR))
         accepted = False
-        for _ in range(max_retries):
+        while True:
             try:
                 step = np.linalg.solve(H + lam * diag, -g)
             except np.linalg.LinAlgError:
@@ -343,7 +385,7 @@ def _one_start_lm(fun, x0, max_retries=LM_MAX_RETRIES):
             if lam > LM_DAMPING_MAX:
                 break
         if not accepted:
-            reason = "damping" if lam > LM_DAMPING_MAX else "retries"
+            reason = "damping"
             break
     return x[None], np.array([np.abs(r).max()]), [solver.StartStop(iters, lam, reason)]
 
@@ -384,18 +426,6 @@ class TestBatchedSearch:
         _assert_same_search(batched, _concat_searches(
             solver._lm_minimize(fun, X[s:s + 1]) for s in range(len(X))))
         _assert_same_search(batched, _concat_searches(_one_start_lm(fun, x) for x in X))
-
-    @pytest.mark.parametrize("name", ["ch1_c1.3", "flat_ch1_c2", "ch2_model"])
-    def test_retry_cap(self, monkeypatch, name):
-        # From damping 1e-14, 47 rejections pass LM_DAMPING_MAX, so a start
-        # meets the cap of 60 only when it is lowered.
-        geom = LM_GEOMETRIES[name]()
-        fun = CompiledResidual(geom)
-        X = _starts(geom, 7)
-        monkeypatch.setattr(solver, "LM_MAX_RETRIES", 2)
-        batched = solver._lm_minimize(fun, X)
-        _assert_same_search(batched, _concat_searches(_one_start_lm(fun, x, 2) for x in X))
-        assert "retries" in {stop.reason for stop in batched[2]}
 
     @pytest.mark.parametrize("name", LM_GEOMETRIES)
     def test_solve_does_not_depend_on_chunking(self, monkeypatch, name):
@@ -534,7 +564,8 @@ class TestGaugeOrbit:
 class TestScan:
     def test_ch1_coarse_scan_brackets_minima(self):
         cfg = SolveConfig(starts=8, seed=5)
-        result = scan_curvature(lambda c: ch1(c), 1.0, 3.0, 21, cfg, polish=False)
+        grid = [1.0 + (3.0 - 1.0) * i / 20 for i in range(21)]
+        result = scan_curvature(lambda c: ch1(c), grid, cfg, polish=False)
         assert len(result.points) == 21
         residuals = {round(p.parameter, 2): p.best_residual for p in result.points}
         assert residuals[2.0] < 1e-8
@@ -542,8 +573,7 @@ class TestScan:
 
     def test_explicit_values(self):
         cfg = SolveConfig(starts=8, seed=5)
-        result = scan_curvature(lambda c: ch1_cubed(c), 0, 0, 0, cfg,
-                                values=[1.8, 2.0], polish=False)
+        result = scan_curvature(lambda c: ch1_cubed(c), [1.8, 2.0], cfg, polish=False)
         by_param = {p.parameter: p.status for p in result.points}
         assert by_param[2.0] == "Solved"
         assert by_param[1.8] == "LikelyInfeasible"
