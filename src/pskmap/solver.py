@@ -384,7 +384,10 @@ def solve(geom: Geometry, cfg: SolveConfig = SolveConfig()) -> SolveResult:
     Start s is drawn from default_rng((seed, s)); the starts run in lockstep
     in chunks bounded by LM_BATCH, and each start's result does not depend
     on the chunking.  The rotation gauge is left free during optimization
-    (it only creates a flat direction) and normalized after the fact.
+    (it only creates a flat direction) and normalized after the fact.  The
+    candidate, gauge note and per-equation report are those of the
+    lowest-index start below the success threshold, or of the lowest
+    residual when no start is below it; best_residual is the minimum.
     """
     fun = CompiledResidual(geom)
     d = geom.n_unknowns
@@ -398,9 +401,12 @@ def solve(geom: Geometry, cfg: SolveConfig = SolveConfig()) -> SolveResult:
         residuals.extend(res.tolist())
         stops.extend(st)
     finals = list(zip(residuals, range(cfg.starts), xs))
-    best_res, _, best_x = min(finals, key=lambda f: (f[0], f[1]))
+    best_res = min(residuals)
 
     solved = [f for f in finals if f[0] < cfg.success_threshold]
+    # The reported start: the first solved one, else the lowest residual.
+    # Among solved starts the lowest residual is decided by rounding noise.
+    best_x = solved[0][2] if solved else min(finals, key=lambda f: (f[0], f[1]))[2]
     orbits: list = []
     for res, s, x in sorted(solved, key=lambda f: (f[0], f[1])):
         canda = _normalized_candidate(geom, x)[0]

@@ -8,7 +8,8 @@ candidate is not compared: it sits at an arbitrary point of its flat
 directions and moves with last-bit rounding.
 
 Regenerate with ``PYTHONPATH=src python tests/test_golden_reports.py``
-(only when a change of verdict is intended).
+(only when a change of verdict is intended, or a change of which start is
+reported).
 """
 
 import contextlib

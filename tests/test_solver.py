@@ -512,6 +512,18 @@ class TestSolve:
         assert res.best_residual < 1e-8
         assert certify_gauge_orbit(res.candidate, four_dim_candidate()) < 1e-7
 
+    def test_reports_the_first_solved_start(self):
+        # Start 0 is solved, start 4 has a lower residual: the report is
+        # start 0's, as when it runs alone, and best_residual the minimum.
+        geom = build_geometry(*four_dim_example())
+        full = solve(geom, SolveConfig(starts=8, seed=1))
+        first = solve(geom, SolveConfig(starts=1, seed=1))
+        assert first.status == "Solved"
+        assert min(full.start_residuals) < full.start_residuals[0]
+        assert full.best_residual == min(full.start_residuals)
+        assert full.gauge_note == first.gauge_note
+        assert full.per_equation == first.per_equation
+
     def test_ch5_model_solves(self):
         res = solve(build_geometry(*complex_hyperbolic(5)), SolveConfig(starts=8, seed=1))
         assert res.status == "Solved"
