@@ -9,10 +9,11 @@ numpy data (r0, A, Q).  Everything here reads one intrinsic.Geometry
 evaluators of intrinsic.py to the stack of basis tensors, one per unknown
 (see CompiledResidual); residual_vector, the reference it is tested
 against, and the per-equation report of solve read
-intrinsic.residual_matrices at one point (x -> p, q -> wedges).  Q is held
-as COO triplets, and evaluation and the exact Jacobian take one np.bincount
-over them for a whole batch of points; the multi-start search runs its
-starts in lockstep on such batches.
+intrinsic.residual_matrices at one point (x -> p, q -> wedges).  Rows that
+are equal up to sign are merged into one, weighted in the search by how
+often it occurs.  A and Q are held as COO triplets, and evaluation and the
+exact Jacobian take one np.bincount over them for a whole batch of points;
+the multi-start search runs its starts in lockstep on such batches.
 
 When the invariant Kahler form has no invariant primitive the
 kappa-dependent equations cannot be posed; geometries built with
@@ -145,8 +146,54 @@ def _wedge_triplets(ext, d: int, lefts: list, rights: list, rows: np.ndarray,
     return flat[keep] // d, flat[keep] % d, total[keep]
 
 
+def _row_groups(r0: np.ndarray, d: int, a_rows: np.ndarray, a_vals: np.ndarray,
+                q_rows: np.ndarray, q_cols: np.ndarray, q_vals: np.ndarray):
+    """The rows of r0 + A x + x.Q.x that are exactly equal up to sign.
+
+    Returns the first row of each group, in increasing order, and for every
+    row its group (numbered in that order) and the sign that takes the
+    group's first row to it.  A row's signature lists its non-zeros as
+    (position, value) keys: r0 first, then A by column, then Q by (i, j),
+    as the triplets are sorted, each value multiplied by the sign of the
+    row's first one and coded by its rank among all such values.  Padded
+    with -1, the identically zero rows form one group like any other.  One
+    np.unique over the signatures' bytes finds the groups, with no
+    tolerance.
+    """
+    R = len(r0)
+    nz = np.flatnonzero(r0)
+    # Every non-zero as (row, position, value); a stable sort by row keeps
+    # each row's r0, A and Q non-zeros in that order, and each by position.
+    row = np.concatenate([nz, a_rows // d, q_rows // d])
+    order = np.argsort(row, kind="stable")
+    row = row[order]
+    pos = np.concatenate([np.zeros(len(nz), dtype=int), 1 + a_rows % d,
+                          1 + d + (q_rows % d) * d + q_cols])[order]
+    val = np.concatenate([r0[nz], a_vals, q_vals])[order]
+    del order
+    count = np.bincount(row, minlength=R)
+    first = np.cumsum(count) - count
+    sign = np.ones(R)
+    sign[count > 0] = np.sign(val[first[count > 0]])
+    values, code = np.unique(val * sign[row], return_inverse=True)
+    width = max(1, int(count.max()))
+    sig = np.full(R * width, -1)
+    sig[(row * width - first[row]) + np.arange(len(row))] = pos * len(values) + code
+    del row, pos, val, code
+    _, first, inverse = np.unique(sig.view(np.dtype((np.void, width * sig.itemsize))),
+                                  return_index=True, return_inverse=True)
+    del sig
+    order = np.argsort(first)
+    rank = np.empty(len(first), dtype=int)
+    rank[order] = np.arange(len(first))
+    group = rank[inverse]
+    kept = first[order]
+    return kept, group, sign * sign[kept][group]
+
+
 class CompiledResidual:
-    """r(x) = r0 + A x + x.Q.x with Q symmetric in its last two axes.
+    """r(x) = r0 + A x + x.Q.x with Q symmetric in its last two axes, on the
+    distinct equations.
 
     Built from the equations rather than by sampling them: q and p = J q
     are linear in the 2t tensor unknowns through the basis stack (p_u, q_u),
@@ -154,10 +201,19 @@ class CompiledResidual:
     coefficients.  r0 is the evaluators at p = q = 0; the linear blocks of A
     are the evaluators dpq_matrices (at kappa0) or integrability_matrices
     applied to the basis stack; every quadratic term is a matrix wedge of two
-    stacks over the unknowns, emitted by _wedge_triplets.  The row order is
-    that of residual_vector.  Q is over 99% zeros, so Q[r, i, j] = v is held
-    as the triplet (q_rows, q_cols, q_vals) = (r * d + i, j, v), sorted, with
-    (i, j) and (j, i) both kept.  One np.bincount gives Qx = Q x as (R, d):
+    stacks over the unknowns, emitted by _wedge_triplets.  The full rows are
+    in the order of residual_vector.
+
+    Many full rows repeat up to sign (CH(4): 1,792 rows, 283 distinct), so
+    only the first row of each group is kept (_row_groups), unweighted and in
+    order of first occurrence.  row_map and row_sign give, for each full
+    row, its kept row and sign: residual_vector(x) equals
+    row_sign * fun(x)[row_map], and multiplicity counts the full rows of
+    each kept row, the weights of the search's cost.  A and Q are over 98%
+    zeros, so A[r, i] = a and Q[r, i, j] = v are held as sorted triplets
+    (a_rows, a_vals) = (r * d + i, a) and (q_rows, q_cols, q_vals) =
+    (r * d + i, j, v), with (i, j) and (j, i) both kept.  One np.bincount,
+    its A weights after its Q weights, gives A + Qx as (R, d):
     r = r0 + (A + Qx) x and the Jacobian is A + 2 Qx = A + Q(2x).
     """
 
@@ -169,18 +225,21 @@ class CompiledResidual:
         block = n * n * comb(m, 2)
         second = n * n * comb(m, 2 if geom.exact else 3)
         R = 2 * block + 2 * second
-        r0, A = np.zeros(R), np.zeros((R, d))
 
         # Second pair: its block of A is the evaluators applied to the basis
         # stack, built first, while no triplet is held, to keep the peak low.
         lins = (dpq_matrices(geom, ps, qs, geom.kappa0) if geom.exact
                 else integrability_matrices(geom, ps, qs))
-        A[2 * block:, :T] = np.concatenate([lin.reshape(T, -1) for lin in lins], axis=1).T
+        stacked = np.concatenate([lin.reshape(T, -1) for lin in lins], axis=1).T
         del lins
+        rows, cols = np.nonzero(stacked)
+        a_rows, a_vals = (2 * block + rows) * d + cols, stacked[rows, cols]
+        del stacked, rows, cols
 
         # Curvature pair: M + p^p + q^q = M_CH and Lam + p^q - q^p = Lam_CH,
         # with r0 the evaluators at p = q = 0.
         zero = np.zeros((n, n, m))
+        r0 = np.zeros(R)
         r0[:block] = tpq_matrix(geom, zero, zero).ravel()
         r0[block:2 * block] = wpq_matrix(geom, zero, zero).ravel()
 
@@ -190,32 +249,58 @@ class CompiledResidual:
         # The sign is read here, at call time, as dpq_matrices reads it.
         s4 = 4.0 * intrinsic.KAPPA_TERM_SIGN
         kernel_id = geom.kernel[:, None, None, :] * np.eye(n)[:, :, None]
-        self.q_rows, self.q_cols, self.q_vals = _wedge_triplets(
+        q_rows, q_cols, q_vals = _wedge_triplets(
             geom.ext, d, [(0, ps), (0, qs), (T, kernel_id)], [(0, ps), (0, qs)],
             rows=np.array([[0, block], [block, 0], [2 * block + second, 2 * block]]),
             scales=np.array([[1.0, 1.0], [-1.0, 1.0], [-s4, s4]]))
-        self.r0, self.A = r0, A
-        # q_rows of S starts, copy s offset by s * R * d; grown on demand and
-        # sliced, since rebuilding it costs more than a one-start bincount.
-        self._batch_rows = self.q_rows
+
+        # Keep the first row of each group; the kept rows are numbered in
+        # the order of the full ones, so the triplets stay sorted.
+        kept, self.row_map, self.row_sign = _row_groups(
+            r0, d, a_rows, a_vals, q_rows, q_cols, q_vals)
+        self.multiplicity = np.bincount(self.row_map).astype(float)
+        number = np.full(R, -1)
+        number[kept] = np.arange(len(kept))
+
+        def renumber(rows):
+            row, i = np.divmod(rows, d)
+            mask = number[row] >= 0
+            return mask, number[row[mask]] * d + i[mask]
+
+        a_mask, self.a_rows = renumber(a_rows)
+        q_mask, self.q_rows = renumber(q_rows)
+        self.r0, self.a_vals = r0[kept], a_vals[a_mask]
+        self.q_cols, self.q_vals = q_cols[q_mask], q_vals[q_mask]
+        self.shape = (len(self.r0), d)
+        # The (r * d + i) bin of every triplet, Q then A; the bins of S
+        # starts are copy s offset by s * R * d, grown on demand and sliced,
+        # since rebuilding them costs more than a one-start bincount.  The
+        # weights of S starts are written into one buffer, grown likewise:
+        # a fresh one on every call costs page faults.
+        self._rows = np.concatenate([self.q_rows, self.a_rows])
+        self._batch_rows = self._rows
+        self._weights = np.empty((0, len(self._rows)))
 
     def _A_plus_Qx(self, X: np.ndarray) -> np.ndarray:
         """A + Q x as (S, R, d) for each row x of X (S, d): one np.bincount
-        over S copies of the triplets, so each start's bins are summed in
-        the order of a one-start call."""
-        S, nnz, size = len(X), len(self.q_vals), self.A.size
-        if len(self._batch_rows) < S * nnz:
-            self._batch_rows = (self.q_rows + size * np.arange(S)[:, None]).ravel()
-        weights = (self.q_vals * X.take(self.q_cols, axis=1)).ravel()
-        # A is added into the bincount's own output: at n = 4 a second (R, d)
-        # temporary costs more than the bincount.
-        out = np.bincount(self._batch_rows[:S * nnz], weights=weights,
-                          minlength=S * size).reshape((S,) + self.A.shape)
-        out += self.A
-        return out
+        over S copies of the triplets, each start's Q weights v x[j] before
+        its A weights, so each start's bins are summed in the order of a
+        one-start call and A is added last."""
+        S, nq, count = len(X), len(self.q_vals), len(self._rows)
+        size = math.prod(self.shape)
+        if len(self._weights) < S:
+            self._batch_rows = (self._rows + size * np.arange(S)[:, None]).ravel()
+            self._weights = np.empty((S, count))
+            self._weights[:, nq:] = self.a_vals
+        weights = self._weights[:S]
+        X.take(self.q_cols, axis=1, out=weights[:, :nq], mode="clip")
+        weights[:, :nq] *= self.q_vals
+        return np.bincount(self._batch_rows[:S * count], weights=weights.ravel(),
+                           minlength=S * size).reshape((S,) + self.shape)
 
     def __call__(self, x: np.ndarray) -> np.ndarray:
-        """r(x) for one (d,) point, or each row of an (S, d) batch as (S, R)."""
+        """r(x) on the kept rows for one (d,) point, or each row of an (S, d)
+        batch as (S, R)."""
         X = x.reshape(-1, x.shape[-1])
         r = self.r0 + (self._A_plus_Qx(X) @ X[:, :, None])[..., 0]
         return r.reshape(x.shape[:-1] + r.shape[-1:])
@@ -223,14 +308,13 @@ class CompiledResidual:
     def jacobian(self, x: np.ndarray) -> np.ndarray:
         """The (R, d) Jacobian at one (d,) point, or (S, R, d) for a batch."""
         X = x.reshape(-1, x.shape[-1])
-        return self._A_plus_Qx(2.0 * X).reshape(x.shape[:-1] + self.A.shape)
+        return self._A_plus_Qx(2.0 * X).reshape(x.shape[:-1] + self.shape)
 
 
 # -- damped least squares ---------------------------------------------
 
-# Bound on S * R * d, the floats of one batched Jacobian: solve runs its
-# starts in chunks of at most max(1, LM_BATCH // (R * d)), which keeps the
-# peak memory of the CH(4) solve where a one-start loop had it.
+# Bound on S * R * d, the floats of one batched Jacobian on the kept rows:
+# solve runs its starts in chunks of at most max(1, LM_BATCH // (R * d)).
 LM_BATCH = 2 ** 16
 
 # Why a start stopped, in the order of its tests.
@@ -271,18 +355,34 @@ def _sq_norms(r: np.ndarray) -> np.ndarray:
     return (r[:, None, :] @ r[:, :, None])[:, 0, 0]
 
 
+def _gauss_newton(fun: CompiledResidual, w: np.ndarray, x: np.ndarray, r: np.ndarray):
+    """The gradient (w J)^T (w r) and the matrix (w J)^T (w J) of the
+    weighted cost |w r|^2 at each row of x (S, d), r its residuals (S, R)."""
+    wJ = fun.jacobian(x)
+    wJ *= w[:, None]
+    wJT = wJ.transpose(0, 2, 1)
+    return (wJT @ (w * r)[:, :, None])[..., 0], wJT @ wJ
+
+
 def _lm_minimize(fun: CompiledResidual, x0: np.ndarray):
     """Levenberg-Marquardt from each row of x0, an (S, d) batch of starts.
+
+    It runs on the kept rows of fun, each weighted by its multiplicity m, so
+    the cost sum m r^2, the gradient J^T (m r) and the Gauss-Newton matrix
+    J^T diag(m) J are those of the full rows in exact arithmetic; they are
+    taken as |w r|^2, (w J)^T (w r) and (w J)^T (w J) with w = sqrt(m), which
+    are bit-equal to the unweighted forms when no row repeats.  The
+    max-norm residual of the kept rows is that of the full rows.
 
     The starts run in lockstep, and each keeps its own damping, iteration
     count and stop tests, so it takes exactly the steps it would take
     alone: every batched product here is bit-equal to its one-start form.
     A round begins an iteration for each start whose last step was accepted
-    (the iteration cap, the residual and gradient tests, the normal
-    equations), retires the starts that stopped, then lets every live start
-    try one damped step; a rejected step raises the damping, and a damping
-    past LM_DAMPING_MAX stops the start.  Retired starts leave the live
-    arrays.
+    (the iteration cap and the residual test, then, for the starts that go
+    on, the Jacobian, the gradient test and the normal equations), retires
+    the starts that stopped, then lets every live start try one damped
+    step; a rejected step raises the damping, and a damping past
+    LM_DAMPING_MAX stops the start.  Retired starts leave the live arrays.
 
     Returns the final points (S, d), their max-norm residuals (S,) and a
     StartStop per start.
@@ -291,12 +391,14 @@ def _lm_minimize(fun: CompiledResidual, x0: np.ndarray):
     x_end, res_end = np.empty((S, d)), np.empty(S)
     iters_end, lam_end, why_end = np.empty(S, dtype=int), np.empty(S), np.empty(S, dtype=int)
     eye = np.eye(d)
+    w = np.sqrt(fun.multiplicity)
     live = np.arange(S)
     x = x0.copy()
     r = fun(x)
-    cost = _sq_norms(r)
+    cost = _sq_norms(w * r)
     lam = np.full(S, LM_DAMPING)
     iters = np.zeros(S, dtype=int)
+    g, H, D = np.empty((S, d)), np.empty((S, d, d)), np.empty((S, d, d))
     # fresh marks the starts whose last step was accepted (the first round
     # begins every start), accepted counts them; no start has taken more
     # than `rounds` steps, so the iteration cap is only tested once rounds
@@ -308,20 +410,30 @@ def _lm_minimize(fun: CompiledResidual, x0: np.ndarray):
         if accepted:
             whole = accepted == len(live)
             sel = slice(None) if whole else fresh
-            rf = r[sel]
-            J = fun.jacobian(x[sel])
-            JT = J.transpose(0, 2, 1)
-            gf = (JT @ rf[:, :, None])[..., 0]
-            Hf = JT @ J
-            Df = np.maximum(Hf, LM_DIAG_FLOOR) * eye
-            codes = np.where(np.abs(rf).max(axis=1) < LM_RESIDUAL_STOP, _RESIDUAL,
-                             np.where(np.abs(gf).max(axis=1) < LM_GRADIENT_STOP, _GRADIENT, -1))
+            codes = np.where(np.abs(r[sel]).max(axis=1) < LM_RESIDUAL_STOP, _RESIDUAL, -1)
             if rounds >= LM_MAX_ITERS:
                 codes[iters[sel] == LM_MAX_ITERS] = _ITERATIONS
+            # Only the starts that go on build their Jacobian.
+            go = codes < 0
+            going = int(np.count_nonzero(go))
+            if going < len(codes):
+                sel = np.flatnonzero(go) if whole else np.flatnonzero(fresh)[go]
+            if going:
+                gf, Hf = _gauss_newton(fun, w, x[sel], r[sel])
+                Df = np.maximum(Hf, LM_DIAG_FLOOR) * eye
+                tested = np.where(np.abs(gf).max(axis=1) < LM_GRADIENT_STOP, _GRADIENT, -1)
+                if going == len(codes):
+                    codes = tested
+                else:
+                    codes[go] = tested
+                if going == len(live):
+                    g, H, D = gf, Hf, Df
+                else:
+                    g[sel], H[sel], D[sel] = gf, Hf, Df
             if whole:
-                g, H, D, stop = gf, Hf, Df, codes
+                stop = codes
             else:
-                g[sel], H[sel], D[sel], stop[sel] = gf, Hf, Df, codes
+                stop[fresh] = codes
         if stop.max() >= 0:
             done = stop >= 0
             out = live[done]
@@ -336,7 +448,7 @@ def _lm_minimize(fun: CompiledResidual, x0: np.ndarray):
         rounds += 1
         x_new = x + _solve_steps(H + lam[:, None, None] * D, -g)
         r_new = fun(x_new)
-        cost_new = _sq_norms(r_new)
+        cost_new = _sq_norms(w * r_new)
         fresh = cost_new < cost
         accepted = int(np.count_nonzero(fresh))
         if accepted == len(live):
@@ -393,7 +505,7 @@ def solve(geom: Geometry, cfg: SolveConfig = SolveConfig()) -> SolveResult:
     d = geom.n_unknowns
     x0 = np.array([np.random.default_rng((cfg.seed, s)).uniform(-1.0, 1.0, size=d)
                    for s in range(cfg.starts)])
-    chunk = max(1, LM_BATCH // fun.A.size)
+    chunk = max(1, LM_BATCH // math.prod(fun.shape))
     xs, residuals, stops = [], [], []
     for lo in range(0, cfg.starts, chunk):
         x, res, st = _lm_minimize(fun, x0[lo:lo + chunk])

@@ -47,6 +47,25 @@ from pskmap.tolerance import (
 )
 
 
+def _full_rows(fun, r):
+    """Residuals (..., R) of the kept rows, expanded through the row map to
+    every row of residual_vector's order."""
+    return fun.row_sign * r[..., fun.row_map]
+
+
+def _full_jacobian(fun, J):
+    """Jacobians (..., R, d) of the kept rows, expanded likewise."""
+    return fun.row_sign[:, None] * J[..., fun.row_map, :]
+
+
+def _unmerged(monkeypatch, geom):
+    """The compile of geom with every row kept: each row its own group."""
+    with monkeypatch.context() as patch:
+        patch.setattr(solver, "_row_groups", lambda r0, *rest: (
+            np.arange(len(r0)), np.arange(len(r0)), np.ones(len(r0))))
+        return CompiledResidual(geom)
+
+
 def _rotated_ch1_squared():
     L, B = ch1_product([1.5, 2.5])
     return conjugate_algebra(L, _unitary_conjugation(2, np.random.default_rng(11))), B
@@ -102,7 +121,7 @@ class TestResidualVector:
         fun = CompiledResidual(geom)
         for _ in range(10):
             x = rng.standard_normal(geom.n_unknowns)
-            assert np.abs(fun(x) - residual_vector(x, geom)).max() < 1e-12
+            assert np.abs(_full_rows(fun, fun(x)) - residual_vector(x, geom)).max() < 1e-12
 
     @pytest.mark.parametrize("name", GEOMETRIES)
     def test_quadratic_term_symmetric(self, name):
@@ -129,7 +148,9 @@ class TestResidualVector:
         monkeypatch.setattr(solver, "residual_vector", refuse)
         fun = CompiledResidual(geom)
         R, d = len(fun.r0), geom.n_unknowns
-        assert fun.r0.shape == (R,) and fun.A.shape == (R, d)
+        assert fun.r0.shape == (R,) and fun.shape == (R, d)
+        assert fun.a_rows.shape == fun.a_vals.shape
+        assert 0 <= fun.a_rows.min() and fun.a_rows.max() < R * d
         nnz = len(fun.q_vals)
         assert nnz > 0
         assert fun.q_rows.shape == fun.q_cols.shape == fun.q_vals.shape == (nnz,)
@@ -146,16 +167,17 @@ class TestResidualVector:
 
 def test_ch4_quadratic_term_is_held_sparse():
     # The ndarray attributes of the CH(4) compile weigh under 2 MB (about
-    # 1.1 MB), where the dense (R, d, d) quadratic term alone took 24 MB; the
-    # triplets are exactly the non-zeros of that dense term, with no repeats.
+    # 0.2 MB), where the dense (R, d, d) quadratic term of the full system
+    # alone took 24 MB; the triplets are exactly the non-zeros of the kept
+    # rows' dense term, with no repeats.
     geom = GEOMETRIES["ch4_model"]()
     fun = CompiledResidual(geom)
     arrays = [a for a in vars(fun).values() if isinstance(a, np.ndarray)]
     assert sum(a.nbytes for a in arrays) < 2_000_000
-    R, d = fun.A.shape
+    R, d = fun.shape
+    assert len(fun.row_map) * d * d * 8 > 24_000_000
     dense = np.zeros((R * d, d))
     np.add.at(dense, (fun.q_rows, fun.q_cols), fun.q_vals)
-    assert dense.nbytes > 24_000_000
     assert np.count_nonzero(dense) == len(fun.q_vals)
 
 
@@ -164,23 +186,90 @@ def test_ch6_compiled_matches_direct(rng):
     fun = CompiledResidual(geom)
     for _ in range(3):
         x = rng.standard_normal(geom.n_unknowns)
-        assert np.abs(fun(x) - residual_vector(x, geom)).max() < 1e-12
+        assert np.abs(_full_rows(fun, fun(x)) - residual_vector(x, geom)).max() < 1e-12
 
 
 def test_ch6_compile_peak_memory():
-    # The quadratic term is emitted from the basis stack's non-zeros, so the
-    # traced peak of the CH(6) compile stays within 2.5 times the arrays it
-    # keeps (12.6 MB, most of it the dense A): about 2.2 times here, where
-    # a dense (c2, T, T) block per matrix entry took the peak to 2.9 times.
+    # The quadratic term is emitted from the basis stack's non-zeros, A is
+    # held as triplets and the rows are grouped on integer signatures, so
+    # the traced peak of the CH(6) compile stays under 24 MB (about 20.6 MB
+    # here).  With a dense A it was 25.2 MB, and 37 MB with a dense
+    # (c2, T, T) block per matrix entry.
     geom = build_geometry(*complex_hyperbolic(6))
     tracemalloc.start()
     try:
-        fun = CompiledResidual(geom)
+        CompiledResidual(geom)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    kept = sum(a.nbytes for a in (fun.r0, fun.A, fun.q_rows, fun.q_cols, fun.q_vals))
-    assert peak < 2.5 * kept
+    assert peak < 24_000_000
+
+
+# (full rows, kept rows) of each geometry of GEOMETRIES.
+KEPT_ROWS = {"four_dim": (96, 47), "ch1_model": (4, 4), "ch2_model": (96, 43),
+             "ch3_model": (540, 156), "ch4_model": (1792, 283), "ch5_model": (4500, 572),
+             "ch1_cubed": (540, 208), "rotated_ch1_squared": (96, 78), "flat_plus_ch1": (80, 19)}
+
+
+class TestRowMerging:
+    @pytest.mark.parametrize("name", GEOMETRIES)
+    def test_row_map_reproduces_the_full_compile(self, monkeypatch, rng, name):
+        # Expanded through the row map, the kept rows are the full compile's
+        # rows: r0 and the Jacobian bit for bit.  The residuals agree to a few
+        # ulps only: BLAS may sum the rows of a matrix-vector product's
+        # trailing partial block in another kernel (1 ulp on 2 of the 78
+        # kept rows of the rotated CH(1)^2).
+        geom = GEOMETRIES[name]()
+        fun, full = CompiledResidual(geom), _unmerged(monkeypatch, geom)
+        X = rng.standard_normal((5, geom.n_unknowns))
+        assert np.array_equal(_full_rows(fun, fun.r0), full.r0)
+        for x in (np.zeros_like(X), X):
+            assert np.array_equal(_full_jacobian(fun, fun.jacobian(x)), full.jacobian(x))
+        r, r_full = _full_rows(fun, fun(X)), full(X)
+        assert np.abs(r - r_full).max() <= 4 * np.finfo(float).eps * np.abs(r_full).max()
+
+    @pytest.mark.parametrize("name", GEOMETRIES)
+    def test_groups_in_order_of_first_occurrence(self, name):
+        # The multiplicities count every full row once; each kept row is the
+        # first row of its group, unweighted, and the groups are numbered in
+        # the order of their first rows (CH(4): 1,792 rows, 283 kept).
+        fun = CompiledResidual(GEOMETRIES[name]())
+        R = len(fun.row_map)
+        assert fun.multiplicity.sum() == R
+        assert np.array_equal(fun.multiplicity, np.bincount(fun.row_map))
+        assert np.all(np.abs(fun.row_sign) == 1.0)
+        groups, first = np.unique(fun.row_map, return_index=True)
+        assert np.array_equal(groups, np.arange(len(fun.r0)))
+        assert np.all(np.diff(first) > 0) and np.all(fun.row_sign[first] == 1.0)
+        assert (R, len(fun.r0)) == KEPT_ROWS[name]
+
+    def test_no_repeated_row_compiles_and_searches_unchanged(self, monkeypatch):
+        # ch1(1.0) has 4 rows and none repeats: the compile keeps every row,
+        # and the weighted search is the unweighted one, bit for bit.
+        geom = build_geometry(*ch1(1.0))
+        fun, full = CompiledResidual(geom), _unmerged(monkeypatch, geom)
+        assert np.array_equal(fun.row_map, np.arange(4))
+        assert np.all(fun.row_sign == 1.0) and np.all(fun.multiplicity == 1.0)
+        for name in ("r0", "a_rows", "a_vals", "q_rows", "q_cols", "q_vals"):
+            assert np.array_equal(getattr(fun, name), getattr(full, name))
+        X = _starts(geom, 7)
+        _assert_same_search(solver._lm_minimize(fun, X), _concat_searches(
+            _one_start_lm(fun, x, weighted=False) for x in X))
+
+    @pytest.mark.parametrize("name", GEOMETRIES)
+    def test_weighted_normal_equations_equal_the_full_rows(self, monkeypatch, rng, name):
+        # Weighted by multiplicity, the kept rows give the full rows' cost,
+        # gradient and Gauss-Newton matrix, up to rounding.
+        geom = GEOMETRIES[name]()
+        fun, full = CompiledResidual(geom), _unmerged(monkeypatch, geom)
+        X = rng.standard_normal((3, geom.n_unknowns))
+        w, r, r_full = np.sqrt(fun.multiplicity), fun(X), full(X)
+        ones = np.ones(len(r_full[0]))
+        pairs = [(solver._sq_norms(w * r), solver._sq_norms(r_full)),
+                 *zip(solver._gauss_newton(fun, w, X, r),
+                      solver._gauss_newton(full, ones, X, r_full))]
+        for got, want in pairs:
+            assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
 
 
 @pytest.mark.parametrize("algebra", [four_dim_example, lambda: ch1(2.0 / math.sqrt(3.0))],
@@ -193,12 +282,14 @@ def test_compile_reads_the_kappa_term_sign_at_call_time(monkeypatch, rng, algebr
     geom = build_geometry(*algebra())
     assert len(geom.kernel) > 0
     X = rng.standard_normal((5, geom.n_unknowns))
-    supported = CompiledResidual(geom)(X)
+    fun = CompiledResidual(geom)
+    supported = _full_rows(fun, fun(X))
     monkeypatch.setattr(intrinsic, "KAPPA_TERM_SIGN", -1.0)
     fun = CompiledResidual(geom)
     for x, r in zip(X, supported):
-        assert np.abs(fun(x) - residual_vector(x, geom)).max() < 1e-12
-        assert np.abs(fun(x) - r).max() > 1e-3
+        full = _full_rows(fun, fun(x))
+        assert np.abs(full - residual_vector(x, geom)).max() < 1e-12
+        assert np.abs(full - r).max() > 1e-3
 
 
 @pytest.mark.parametrize("name", ["four_dim", "flat_plus_ch1"])
@@ -350,18 +441,23 @@ def _starts(geom, count, seed=5):
                      for s in range(count)])
 
 
-def _one_start_lm(fun, x0):
+def _one_start_lm(fun, x0, weighted=True):
     """Reference: the one-start Levenberg-Marquardt loop, with the reason it
-    stops; returns what _lm_minimize returns for a batch of one start."""
+    stops; returns what _lm_minimize returns for a batch of one start.  Each
+    kept row is weighted by the square root of its multiplicity, or, when
+    not weighted, the plain J^T J and J^T r are taken."""
+    w = np.sqrt(fun.multiplicity) if weighted else 1.0
     x, lam, iters, reason = x0.copy(), LM_DAMPING, 0, "iterations"
     r = fun(x)
-    cost = float(r @ r)
+    cost = float((w * r) @ (w * r))
     for _ in range(LM_MAX_ITERS):
         if np.abs(r).max() < LM_RESIDUAL_STOP:
             reason = "residual"
             break
         J = fun.jacobian(x)
-        g = J.T @ r
+        if weighted:
+            J = w[:, None] * J
+        g = J.T @ (w * r)
         if np.abs(g).max() < LM_GRADIENT_STOP:
             reason = "gradient"
             break
@@ -374,7 +470,7 @@ def _one_start_lm(fun, x0):
             except np.linalg.LinAlgError:
                 step = np.linalg.lstsq(H + lam * diag, -g, rcond=None)[0]
             r_new = fun(x + step)
-            cost_new = float(r_new @ r_new)
+            cost_new = float((w * r_new) @ (w * r_new))
             if cost_new < cost:
                 x, r, cost = x + step, r_new, cost_new
                 lam = max(lam / 3.0, LM_DAMPING_MIN)
@@ -409,7 +505,7 @@ class TestBatchedSearch:
         fun = CompiledResidual(geom)
         X = rng.standard_normal((5, geom.n_unknowns))
         r, J = fun(X), fun.jacobian(X)
-        assert r.shape == (5, len(fun.r0)) and J.shape == (5,) + fun.A.shape
+        assert r.shape == (5, len(fun.r0)) and J.shape == (5,) + fun.shape
         for x, r_x, J_x in zip(X, r, J):
             assert np.array_equal(r_x, fun(x))
             assert np.array_equal(J_x, fun.jacobian(x))
@@ -431,7 +527,7 @@ class TestBatchedSearch:
     def test_solve_does_not_depend_on_chunking(self, monkeypatch, name):
         # 7 starts in one chunk, in chunks of 3 (3 + 3 + 1) and one at a time.
         geom = LM_GEOMETRIES[name]()
-        size = CompiledResidual(geom).A.size
+        size = math.prod(CompiledResidual(geom).shape)
         cfg = SolveConfig(starts=7, seed=5)
         results = []
         for batch in (solver.LM_BATCH, 3 * size, 1):
@@ -443,6 +539,19 @@ class TestBatchedSearch:
             assert other.start_stops == first.start_stops
             assert other.best_residual == first.best_residual
             assert other.per_equation == first.per_equation
+
+    def test_no_jacobian_for_a_start_that_stops_on_residual(self, monkeypatch):
+        # Every start on ch1(2) stops on the residual test, which runs before
+        # the Jacobian: no Jacobian is built at a point that passes it.
+        geom = LM_GEOMETRIES["ch1_c2"]()
+        fun = CompiledResidual(geom)
+        seen, jacobian = [], fun.jacobian
+        monkeypatch.setattr(fun, "jacobian", lambda x: seen.append(x.copy()) or jacobian(x))
+        x_end, _, stops = solver._lm_minimize(fun, _starts(geom, 7))
+        assert [s.reason for s in stops] == ["residual"] * 7
+        points = np.concatenate(seen)
+        assert np.abs(fun(points)).max(axis=1).min() >= LM_RESIDUAL_STOP
+        assert not any((points == x).all(axis=1).any() for x in x_end)
 
     def test_start_stops(self):
         stops = solve(LM_GEOMETRIES["ch1_c2"](), SolveConfig(starts=4, seed=1)).start_stops
