@@ -154,35 +154,40 @@ def _row_groups(r0: np.ndarray, d: int, a_rows: np.ndarray, a_vals: np.ndarray,
     row its group (numbered in that order) and the sign that takes the
     group's first row to it.  A row's signature lists its non-zeros as
     (position, value) keys: r0 first, then A by column, then Q by (i, j),
-    as the triplets are sorted, each value multiplied by the sign of the
-    row's first one and coded by its rank among all such values.  Padded
-    with -1, the identically zero rows form one group like any other.  One
-    np.unique over the signatures' bytes finds the groups, with no
-    tolerance.
+    each value multiplied by the sign of the row's first one and coded by
+    its rank among all such values.  Padded with -1, the identically zero
+    rows form one group like any other.  One np.unique over the signatures'
+    bytes finds the groups, with no tolerance.  Each argsort here is on
+    unique integer keys, so none needs to be stable: a stable sort's code
+    would be mapped into the process for this alone.
     """
     R = len(r0)
     nz = np.flatnonzero(r0)
-    # Every non-zero as (row, position, value); a stable sort by row keeps
-    # each row's r0, A and Q non-zeros in that order, and each by position.
+    # Every non-zero as (row, position, value), sorted by row and position.
     row = np.concatenate([nz, a_rows // d, q_rows // d])
-    order = np.argsort(row, kind="stable")
-    row = row[order]
     pos = np.concatenate([np.zeros(len(nz), dtype=int), 1 + a_rows % d,
-                          1 + d + (q_rows % d) * d + q_cols])[order]
+                          1 + d + (q_rows % d) * d + q_cols])
+    order = np.argsort(row * (1 + d + d * d) + pos)
+    row, pos = row[order], pos[order]
     val = np.concatenate([r0[nz], a_vals, q_vals])[order]
     del order
     count = np.bincount(row, minlength=R)
     first = np.cumsum(count) - count
     sign = np.ones(R)
-    sign[count > 0] = np.sign(val[first[count > 0]])
-    values, code = np.unique(val * sign[row], return_inverse=True)
+    sign[count > 0] = np.where(val[first[count > 0]] < 0, -1.0, 1.0)
+    # No value is 0 or NaN, so equal values are equal bit patterns.
+    values, code = np.unique((val * sign[row]).view(np.int64), return_inverse=True)
     width = max(1, int(count.max()))
     sig = np.full(R * width, -1)
     sig[(row * width - first[row]) + np.arange(len(row))] = pos * len(values) + code
     del row, pos, val, code
-    _, first, inverse = np.unique(sig.view(np.dtype((np.void, width * sig.itemsize))),
-                                  return_index=True, return_inverse=True)
+    _, inverse = np.unique(sig.view(np.dtype((np.void, width * sig.itemsize))),
+                           return_inverse=True)
     del sig
+    # The first row of each group: ordered by (group, row), a group starts
+    # where the sizes of the groups before it end.
+    size = np.bincount(inverse)
+    first = np.argsort(inverse * R + np.arange(R))[np.cumsum(size) - size]
     order = np.argsort(first)
     rank = np.empty(len(first), dtype=int)
     rank[order] = np.arange(len(first))
@@ -463,8 +468,8 @@ def _lm_minimize(fun: CompiledResidual, x0: np.ndarray):
         else:
             lam = lam * 4.0
         stop = np.where(lam > LM_DAMPING_MAX, _DAMPING, -1)
-    stops = [StartStop(int(i), float(l), STOP_REASONS[w])
-             for i, l, w in zip(iters_end, lam_end, why_end)]
+    stops = [StartStop(int(i), float(l), STOP_REASONS[why])
+             for i, l, why in zip(iters_end, lam_end, why_end)]
     return x_end, res_end, stops
 
 
