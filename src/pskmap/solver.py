@@ -298,8 +298,7 @@ class CompiledResidual:
             self._weights = np.empty((S, count))
             self._weights[:, nq:] = self.a_vals
         weights = self._weights[:S]
-        X.take(self.q_cols, axis=1, out=weights[:, :nq], mode="clip")
-        weights[:, :nq] *= self.q_vals
+        np.multiply(X.take(self.q_cols, axis=1), self.q_vals, out=weights[:, :nq])
         return np.bincount(self._batch_rows[:S * count], weights=weights.ravel(),
                            minlength=S * size).reshape((S,) + self.shape)
 
@@ -426,7 +425,12 @@ def _lm_minimize(fun: CompiledResidual, x0: np.ndarray):
             if going:
                 gf, Hf = _gauss_newton(fun, w, x[sel], r[sel])
                 Df = np.maximum(Hf, LM_DIAG_FLOOR) * eye
-                codes[go] = np.where(np.abs(gf).max(axis=1) < LM_GRADIENT_STOP, _GRADIENT, -1)
+                tested = np.where(np.abs(gf).max(axis=1) < LM_GRADIENT_STOP, _GRADIENT, -1)
+                # A masked write costs more than the test at d = 3.
+                if going == len(codes):
+                    codes = tested
+                else:
+                    codes[go] = tested
                 if going == len(live):
                     g, H, D = gf, Hf, Df
                 else:
