@@ -425,12 +425,7 @@ def _lm_minimize(fun: CompiledResidual, x0: np.ndarray):
             if going:
                 gf, Hf = _gauss_newton(fun, w, x[sel], r[sel])
                 Df = np.maximum(Hf, LM_DIAG_FLOOR) * eye
-                tested = np.where(np.abs(gf).max(axis=1) < LM_GRADIENT_STOP, _GRADIENT, -1)
-                # A masked write costs more than the test at d = 3.
-                if going == len(codes):
-                    codes = tested
-                else:
-                    codes[go] = tested
+                codes[go] = np.where(np.abs(gf).max(axis=1) < LM_GRADIENT_STOP, _GRADIENT, -1)
                 if going == len(live):
                     g, H, D = gf, Hf, Df
                 else:
